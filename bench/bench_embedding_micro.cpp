@@ -1,7 +1,8 @@
 // Micro-benchmark (google-benchmark): EmbeddingBag kernels — update
 // strategies under uniform vs Zipf index streams, the fused
-// backward+update ablation (paper Sect. III.A: up to 1.6x), and the
-// hot-row cache tier. Before the google-benchmark run, a BENCH_JSON row
+// backward+update ablation (paper Sect. III.A: up to 1.6x), a DRAM-resident
+// forward/update case at the train_zipf_r2 shape, and the hot-row cache
+// tier. Before the google-benchmark run, a BENCH_JSON row
 // is emitted per (precision, Zipf alpha, cache capacity) sweep point so
 // future PRs can track the cache's hit-rate/throughput trajectory.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "kernels/embedding.hpp"
 
 namespace {
@@ -136,6 +138,64 @@ void BM_EmbeddingUpdateSplit(benchmark::State& state) {
   state.SetLabel("fused/RaceFree/bf16-split");
 }
 BENCHMARK(BM_EmbeddingUpdateSplit)->Unit(benchmark::kMillisecond);
+
+// ---- DRAM-resident shape ---------------------------------------------------
+//
+// The 200k-row table above (51 MB) fits in a large L3, where software
+// prefetch has no miss to hide. This case is the train_zipf_r2 table shape
+// at a size no L3 holds: 2M x 64 fp32 rows (512 MB), P=50, Zipf 1.05, one
+// thread, kRaceFree. GB/s counts the bytes each kernel moves, as perfbench's
+// kernels.emb_gbps does: the forward reads P rows per bag and writes the
+// pooled row; the fused update reads the pooled gradient and reads + writes
+// every looked-up row.
+constexpr std::int64_t kDramRows = std::int64_t{1} << 21, kDramBatch = 1024,
+                       kDramPool = 50;
+
+struct DramCase {
+  EmbeddingTable table{kDramRows, kDim};
+  BagBatch bags = make_bags(kDramBatch, kDramPool, kDramRows, 1.05);
+  Tensor<float> out{{kDramBatch, kDim}};
+  Tensor<float> dy{{kDramBatch, kDim}};
+  DramCase() {
+    Rng rng(8);
+    table.init(rng, 1.0f);
+    fill_uniform(dy, rng, 0.1f);
+  }
+};
+
+DramCase& dram_case() {
+  static DramCase c;  // built on first use: only when a DRAM case runs
+  return c;
+}
+
+void BM_EmbeddingForwardDram(benchmark::State& state) {
+  DramCase& c = dram_case();
+  ThreadPool pool(1);
+  PoolScope scope(pool);
+  for (auto _ : state) {
+    c.table.forward(c.bags, c.out.data());
+    benchmark::DoNotOptimize(c.out.data());
+  }
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>((kDramBatch * kDramPool + kDramBatch) * kDim * 4),
+      benchmark::Counter::kIsIterationInvariantRate, benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_EmbeddingForwardDram)->Unit(benchmark::kMillisecond);
+
+void BM_EmbeddingUpdateDram(benchmark::State& state) {
+  DramCase& c = dram_case();
+  ThreadPool pool(1);
+  PoolScope scope(pool);
+  for (auto _ : state) {
+    c.table.fused_backward_update(c.dy.data(), c.bags, 0.01f,
+                                  UpdateStrategy::kRaceFree);
+  }
+  state.SetLabel("fused/RaceFree");
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>((kDramBatch + 2 * kDramBatch * kDramPool) * kDim * 4),
+      benchmark::Counter::kIsIterationInvariantRate, benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_EmbeddingUpdateDram)->Unit(benchmark::kMillisecond);
 
 // ---- Hot-row cache sweep ---------------------------------------------------
 //

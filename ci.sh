@@ -16,9 +16,6 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-echo "==== Bench collection (BENCH_PR10.json) ===="
-bench/collect_bench.sh build BENCH_PR10.json
-
 echo "==== Debug + ASan/UBSan unit-test pass ===="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace dlrm {
 
@@ -34,10 +35,25 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
     ++generation_;
   }
   cv_start_.notify_all();
-  fn(0);  // participate as tid 0
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return outstanding_ == 0; });
-  job_ = nullptr;
+  try {
+    fn(0);  // participate as tid 0
+  } catch (...) {
+    record_error(std::current_exception());
+  }
+  std::exception_ptr error;
+  {
+    // Even when tid 0 threw, the workers still hold `fn`: wait them out.
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_done_.wait(lock, [this] { return outstanding_ == 0; });
+    job_ = nullptr;
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::record_error(std::exception_ptr error) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!error_) error_ = std::move(error);
 }
 
 void ThreadPool::worker_loop(int tid) {
@@ -51,7 +67,11 @@ void ThreadPool::worker_loop(int tid) {
       seen = generation_;
       job = job_;
     }
-    (*job)(tid);
+    try {
+      (*job)(tid);
+    } catch (...) {
+      record_error(std::current_exception());
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--outstanding_ == 0) cv_done_.notify_one();

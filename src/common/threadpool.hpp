@@ -14,6 +14,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -39,6 +40,8 @@ class ThreadPool {
   int size() const { return size_; }
 
   /// Executes fn(tid) on all participants; blocks until completion.
+  /// If any participant throws, run() still waits for all of them, then
+  /// rethrows the first exception raised; the pool stays usable.
   /// Not reentrant: do not call run() from inside a task on the same pool.
   void run(const std::function<void(int)>& fn);
 
@@ -54,6 +57,7 @@ class ThreadPool {
 
  private:
   void worker_loop(int tid);
+  void record_error(std::exception_ptr error);  // keeps the first only
 
   const int size_;
   std::vector<std::thread> workers_;
@@ -62,6 +66,7 @@ class ThreadPool {
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   const std::function<void(int)>* job_ = nullptr;
+  std::exception_ptr error_;  // first exception raised in the current job
   std::uint64_t generation_ = 0;
   int outstanding_ = 0;
   bool shutdown_ = false;

@@ -1,8 +1,12 @@
 #include "kernels/embedding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
@@ -570,140 +574,352 @@ void EmbeddingTable::note_forward_counters(const BagBatch& bags) const {
   }
 }
 
-void EmbeddingTable::forward(const BagBatch& bags, float* out) const {
-  if (cache_enabled()) {
-    if (cache_opts_.policy == EmbCachePolicy::kCounter) {
-      note_forward_counters(bags);
-    }
-    forward_cached(bags, out);
-    return;
-  }
-  const std::int64_t n = bags.batch();
-  const std::int64_t* idx = bags.indices.data();
-  const std::int64_t* off = bags.offsets.data();
-  const std::int64_t dim = dim_;
+// ---- Row kernels -------------------------------------------------------------
+//
+// forward, fused_backward_update and apply_update run one RowKernel, chosen
+// once per call for (precision, cache tier, dim). Its two row ops —
+// accumulate a row into a bag sum, update a row with its salt — do exactly
+// the per-element arithmetic of the storage precision on either tier, so the
+// results depend on neither the dim specialization, the tier nor the prefetch.
 
-  if (precision_ == EmbedPrecision::kFp32 ||
-      precision_ == EmbedPrecision::kFp24) {
-    const float* w = w_.data();
-    parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t b = lo; b < hi; ++b) {
-        float* __restrict__ dst = out + b * dim;
-        for (std::int64_t e = 0; e < dim; ++e) dst[e] = 0.0f;
-        for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-          const float* __restrict__ src = w + idx[s] * dim;
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += src[e];
-        }
-      }
-    });
-    return;
-  }
+namespace {
 
-  // Low-precision storage: decode rows on the fly (this *is* the 2x
-  // bandwidth saving: only 16-bit model weights stream from memory).
-  const std::uint16_t* hi = hi_.data();
-  const bool is_f16 = precision_ == EmbedPrecision::kFp16Stochastic;
-  parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hiend) {
-    for (std::int64_t b = lo; b < hiend; ++b) {
-      float* __restrict__ dst = out + b * dim;
-      for (std::int64_t e = 0; e < dim; ++e) dst[e] = 0.0f;
-      for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-        const std::uint16_t* __restrict__ src = hi + idx[s] * dim;
-        if (is_f16) {
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += f16_to_f32(src[e]);
-        } else {
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += bf16_to_f32(src[e]);
-        }
-      }
-    }
-  });
+// Lookups between a row's software prefetch and its use: enough misses in
+// flight to cover DRAM latency at the per-lookup cost of a 64-wide fp32 row.
+constexpr std::int64_t kPrefetchLookups = 16;
+
+// w - lr * g rounded once, as the contracted form the compiler emits for
+// FMA targets. Spelled out so that every row op rounds the same way: left to
+// the compiler, contraction varies with how a loop was hoisted.
+inline float sgd_step(float w, float lr, float g) {
+#ifdef __FMA__
+  return std::fma(-lr, g, w);
+#else
+  return w - lr * g;
+#endif
 }
 
-// Tier-dispatching bag sum: resident rows read from the contiguous fp32
-// arena, cold rows decode from precision storage exactly like the uncached
-// kernel — the value added per lookup is bit-identical either way.
-void EmbeddingTable::forward_cached(const BagBatch& bags, float* out) const {
-  const std::int64_t n = bags.batch();
+template <bool kWrite>
+inline void prefetch_span(const void* p, std::int64_t bytes) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  for (std::uintptr_t a = begin & ~std::uintptr_t{63};
+       a < begin + static_cast<std::uintptr_t>(bytes); a += 64) {
+    __builtin_prefetch(reinterpret_cast<const void*>(a), kWrite ? 1 : 0, 3);
+  }
+}
+
+// Table storage as the row kernels see it.
+struct RowStore {
+  float* w;                  // kFp32 / kFp24 rows
+  std::uint16_t* hi;         // bf16 / fp16 bits
+  std::uint16_t* lo;         // Split-SGD low halves
+  float* arena;              // cache-tier fp32 masters
+  const std::int32_t* slot;  // row -> arena slot or -1; null when uncached
+};
+
+// Per-precision element ops. weight(): model value of a cold element;
+// view(): model value of a cached fp32 master; step(): one SGD element
+// update, of a master (returned) or of cold storage (in place). `rs` is the
+// kFp16Stochastic rounding stream; the other precisions ignore it.
+struct Fp32Ops {
+  static float weight(const RowStore& t, std::int64_t i) { return t.w[i]; }
+  static float view(float m) { return m; }
+  static float step(float m, float lr, float g, std::uint64_t&) {
+    return sgd_step(m, lr, g);
+  }
+  static void step(const RowStore& t, std::int64_t i, float lr, float g,
+                   std::uint64_t& rs) {
+    t.w[i] = step(t.w[i], lr, g, rs);
+  }
+  template <bool kWrite>
+  static void prefetch(const RowStore& t, std::int64_t i, std::int64_t dim) {
+    prefetch_span<kWrite>(t.w + i, dim * 4);
+  }
+};
+
+struct Fp24Ops : Fp32Ops {
+  static float step(float m, float lr, float g, std::uint64_t&) {
+    return f32_to_f24_rne(sgd_step(m, lr, g));
+  }
+  static void step(const RowStore& t, std::int64_t i, float lr, float g,
+                   std::uint64_t& rs) {
+    t.w[i] = step(t.w[i], lr, g, rs);
+  }
+};
+
+// Split-SGD: the model weight is the bf16 hi half, hi:lo the fp32 master.
+// Resident masters carry the lo halves in their mantissa tails, so view()
+// masks them off to match the bf16 decode of cold rows.
+struct Bf16SplitOps {
+  static float weight(const RowStore& t, std::int64_t i) {
+    return bf16_to_f32(t.hi[i]);
+  }
+  static float view(float m) {
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(m) & 0xFFFF0000u);
+  }
+  // split/combine is lossless, so a resident master takes a plain fp32
+  // subtract; a cold row reconstructs the master, updates it and re-splits.
+  static float step(float m, float lr, float g, std::uint64_t&) {
+    return sgd_step(m, lr, g);
+  }
+  static void step(const RowStore& t, std::int64_t i, float lr, float g,
+                   std::uint64_t&) {
+    const SplitF32 s = split_f32(sgd_step(combine_f32(t.hi[i], t.lo[i]), lr, g));
+    t.hi[i] = s.hi;
+    t.lo[i] = s.lo;
+  }
+  template <bool kWrite>
+  static void prefetch(const RowStore& t, std::int64_t i, std::int64_t dim) {
+    prefetch_span<kWrite>(t.hi + i, dim * 2);
+    if (kWrite) prefetch_span<kWrite>(t.lo + i, dim * 2);
+  }
+};
+
+struct Bf16Split8Ops : Bf16SplitOps {
+  static float step(float m, float lr, float g, std::uint64_t&) {
+    const SplitF32 s = split_f32(sgd_step(m, lr, g));
+    return combine_f32_partial(s.hi, s.lo, 8);
+  }
+  static void step(const RowStore& t, std::int64_t i, float lr, float g,
+                   std::uint64_t&) {
+    const SplitF32 s =
+        split_f32(sgd_step(combine_f32_partial(t.hi[i], t.lo[i], 8), lr, g));
+    t.hi[i] = s.hi;
+    t.lo[i] = static_cast<std::uint16_t>(s.lo & 0xFF00u);
+  }
+};
+
+// Masters hold exact fp16-representable values.
+struct Fp16StochasticOps {
+  static float weight(const RowStore& t, std::int64_t i) {
+    return f16_to_f32(t.hi[i]);
+  }
+  static float view(float m) { return m; }
+  static std::uint16_t round(float x, std::uint64_t& rs) {
+    return f32_to_f16_stochastic(
+        x, static_cast<std::uint16_t>(detail::splitmix64(rs) >> 48));
+  }
+  static float step(float m, float lr, float g, std::uint64_t& rs) {
+    return f16_to_f32(round(sgd_step(m, lr, g), rs));
+  }
+  static void step(const RowStore& t, std::int64_t i, float lr, float g,
+                   std::uint64_t& rs) {
+    t.hi[i] = round(sgd_step(f16_to_f32(t.hi[i]), lr, g), rs);
+  }
+  template <bool kWrite>
+  static void prefetch(const RowStore& t, std::int64_t i, std::int64_t dim) {
+    prefetch_span<kWrite>(t.hi + i, dim * 2);
+  }
+};
+
+// The row ops of one (precision, dim, cache tier). D > 0 fixes dim at
+// compile time; D == 0 is the runtime-dim fallback sharing the same body.
+template <class Ops, int D, bool kCached>
+struct RowKernel {
+  static constexpr bool kTiered = kCached;
+  static constexpr int kDim = D;
+  RowStore t;
+  std::int64_t runtime_dim;
+
+  std::int64_t dim() const { return D > 0 ? D : runtime_dim; }
+
+  // Arena master of `row`, or nullptr when the row lives in cold storage.
+  float* master(std::int64_t row) const {
+    if constexpr (kCached) {
+      const std::int32_t sl = t.slot[row];
+      if (sl >= 0) return t.arena + static_cast<std::int64_t>(sl) * dim();
+    }
+    return nullptr;
+  }
+
+  template <bool kWrite>
+  void prefetch(std::int64_t row) const {
+    if (const float* m = master(row)) {
+      prefetch_span<kWrite>(m, dim() * 4);
+    } else {
+      Ops::template prefetch<kWrite>(t, row * dim(), dim());
+    }
+  }
+
+  // acc += the model weight of `row`; true when it came from the arena.
+  bool accumulate(float* __restrict__ acc, std::int64_t row) const {
+    if (const float* m = master(row)) {
+      for (std::int64_t e = 0; e < dim(); ++e) acc[e] += Ops::view(m[e]);
+      return true;
+    }
+    const std::int64_t base = row * dim();
+    for (std::int64_t e = 0; e < dim(); ++e) acc[e] += Ops::weight(t, base + e);
+    return false;
+  }
+
+  // row -= lr * g; `salt` seeds the row's stochastic-rounding stream.
+  void update(std::int64_t row, const float* __restrict__ g, float lr,
+              std::uint64_t salt) const {
+    std::uint64_t rs = salt ^ (static_cast<std::uint64_t>(row) << 20);
+    if (float* m = master(row)) {
+      for (std::int64_t e = 0; e < dim(); ++e) m[e] = Ops::step(m[e], lr, g[e], rs);
+      return;
+    }
+    const std::int64_t base = row * dim();
+    for (std::int64_t e = 0; e < dim(); ++e) Ops::step(t, base + e, lr, g[e], rs);
+  }
+
+  // kAtomicXchg: per-element CAS add (fp32 storage only).
+  void add_atomic(std::int64_t row, const float* g, float lr) const {
+    float* r = master(row);
+    if (r == nullptr) r = t.w + row * dim();
+    for (std::int64_t e = 0; e < dim(); ++e) atomic_add_float(&r[e], -lr * g[e]);
+  }
+};
+
+template <class Ops, bool kCached, class Fn>
+void dispatch_dim(const RowStore& t, std::int64_t dim, Fn&& fn) {
+  switch (dim) {
+    case 16: return fn(RowKernel<Ops, 16, kCached>{t, dim});
+    case 32: return fn(RowKernel<Ops, 32, kCached>{t, dim});
+    case 64: return fn(RowKernel<Ops, 64, kCached>{t, dim});
+    case 128: return fn(RowKernel<Ops, 128, kCached>{t, dim});
+    default: return fn(RowKernel<Ops, 0, kCached>{t, dim});
+  }
+}
+
+template <class Ops, class Fn>
+void dispatch_tier(const RowStore& t, std::int64_t dim, Fn&& fn) {
+  if (t.slot != nullptr) return dispatch_dim<Ops, true>(t, dim, fn);
+  dispatch_dim<Ops, false>(t, dim, fn);
+}
+
+constexpr auto kEveryRow = [](std::int64_t) { return true; };
+constexpr auto kNoBagEnd = [](std::int64_t) {};
+
+// Visits the lookups of bags [b0, b1) in order as fn(b, s), then
+// bag_end(b), prefetching each row kPrefetchLookups lookups ahead when
+// touches(row) says the visit will use it.
+template <bool kWrite, class K, class Touches, class Fn,
+          class BagEnd = decltype(kNoBagEnd)>
+void visit_lookups(const K& k, const BagBatch& bags, std::int64_t b0,
+                   std::int64_t b1, const Touches& touches, const Fn& fn,
+                   const BagEnd& bag_end = kNoBagEnd) {
   const std::int64_t* idx = bags.indices.data();
   const std::int64_t* off = bags.offsets.data();
-  const std::int64_t dim = dim_;
-  const float* arena = cache_.data();
-  const std::int32_t* slot = cache_slot_.data();
+  const std::int64_t end = off[b1];
+  for (std::int64_t s = off[b0]; s < std::min(off[b0] + kPrefetchLookups, end); ++s) {
+    if (touches(idx[s])) k.template prefetch<kWrite>(idx[s]);
+  }
+  for (std::int64_t b = b0; b < b1; ++b) {
+    for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
+      const std::int64_t ahead = s + kPrefetchLookups;
+      if (ahead < end && touches(idx[ahead])) k.template prefetch<kWrite>(idx[ahead]);
+      fn(b, s);
+    }
+    bag_end(b);
+  }
+}
 
-  // Per-block hit/miss tallies, folded into the shared counters with one
-  // relaxed atomic add per block.
-  auto run = [&](auto&& accumulate_row) {
-    parallel_for_dynamic(
-        0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
-          std::int64_t hits = 0, misses = 0;
-          for (std::int64_t b = lo; b < hi; ++b) {
-            float* __restrict__ dst = out + b * dim;
-            for (std::int64_t e = 0; e < dim; ++e) dst[e] = 0.0f;
-            for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-              const std::int64_t row = idx[s];
-              const std::int32_t sl = slot[static_cast<std::size_t>(row)];
-              if (sl >= 0) {
-                ++hits;
-                const float* __restrict__ src =
-                    arena + static_cast<std::int64_t>(sl) * dim;
-                accumulate_row(dst, src, /*cached=*/true);
-              } else {
-                ++misses;
-                accumulate_row(dst, nullptr, /*cached=*/false, row);
-              }
-            }
-          }
-          cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-          cache_misses_.fetch_add(misses, std::memory_order_relaxed);
-        });
+// W[I[s]] -= lr * grad(b, s) for every lookup s of bag b under `strategy`
+// (all but the dense kReference sweep of apply_update). Lookup s rounds
+// with salt + s.
+template <class K, class Grad>
+void update_lookups(const K& k, const BagBatch& bags, float lr,
+                    UpdateStrategy strategy, std::uint64_t salt,
+                    std::int64_t rows, const Grad& grad) {
+  const std::int64_t n = bags.batch();
+  const std::int64_t* idx = bags.indices.data();
+  const auto update = [&](std::int64_t b, std::int64_t s) {
+    k.update(idx[s], grad(b, s), lr, salt + static_cast<std::uint64_t>(s));
   };
-
-  switch (precision_) {
-    case EmbedPrecision::kFp32:
-    case EmbedPrecision::kFp24: {
-      const float* w = w_.data();
-      run([&](float* __restrict__ dst, const float* __restrict__ src,
-              bool cached, std::int64_t row = 0) {
-        if (!cached) src = w + row * dim;
-        for (std::int64_t e = 0; e < dim; ++e) dst[e] += src[e];
+  switch (strategy) {
+    case UpdateStrategy::kReference:
+      // Serial, and already free of the dense scratch: the "optimized
+      // serial" lower bound, not the naive framework path.
+      visit_lookups<true>(k, bags, 0, n, kEveryRow, update);
+      return;
+    case UpdateStrategy::kAtomicXchg:
+      parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
+        visit_lookups<true>(k, bags, lo, hi, kEveryRow,
+                            [&](std::int64_t b, std::int64_t s) {
+                              k.add_atomic(idx[s], grad(b, s), lr);
+                            });
       });
       return;
-    }
-    case EmbedPrecision::kBf16Split:
-    case EmbedPrecision::kBf16Split8: {
-      // Model weight == hi half only: masters carry the hidden lo halves in
-      // their mantissa tails, so the cached add must mask them off to stay
-      // bit-identical with the bf16 decode of the cold path.
-      const std::uint16_t* hi = hi_.data();
-      run([&](float* __restrict__ dst, const float* __restrict__ src,
-              bool cached, std::int64_t row = 0) {
-        if (cached) {
-          for (std::int64_t e = 0; e < dim; ++e) {
-            dst[e] += std::bit_cast<float>(
-                std::bit_cast<std::uint32_t>(src[e]) & 0xFFFF0000u);
-          }
-        } else {
-          const std::uint16_t* __restrict__ h = hi + row * dim;
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += bf16_to_f32(h[e]);
-        }
+    case UpdateStrategy::kRtm:
+      parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
+        visit_lookups<true>(k, bags, lo, hi, kEveryRow,
+                            [&](std::int64_t b, std::int64_t s) {
+                              StripeGuard guard(idx[s]);
+                              update(b, s);
+                            });
       });
       return;
-    }
-    case EmbedPrecision::kFp16Stochastic: {
-      // Masters hold exact fp16-representable values: add them directly.
-      const std::uint16_t* hi = hi_.data();
-      run([&](float* __restrict__ dst, const float* __restrict__ src,
-              bool cached, std::int64_t row = 0) {
-        if (cached) {
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += src[e];
-        } else {
-          const std::uint16_t* __restrict__ h = hi + row * dim;
-          for (std::int64_t e = 0; e < dim; ++e) dst[e] += f16_to_f32(h[e]);
-        }
+    case UpdateStrategy::kRaceFree: {
+      // Algorithm 4: each thread scans every lookup but updates (and
+      // prefetches) only the rows of its own static range.
+      const int nthreads = current_pool().size();
+      parallel_run([&](int tid) {
+        const std::int64_t begin = rows * tid / nthreads;
+        const std::int64_t end = rows * (tid + 1) / nthreads;
+        const auto owned = [&](std::int64_t row) { return row >= begin && row < end; };
+        visit_lookups<true>(k, bags, 0, n, owned, [&](std::int64_t b, std::int64_t s) {
+          if (owned(idx[s])) update(b, s);
+        });
       });
       return;
     }
   }
+}
+
+}  // namespace
+
+template <typename Fn>
+void EmbeddingTable::with_row_kernel(Fn&& fn) const {
+  const RowStore t{const_cast<float*>(w_.data()),
+                   const_cast<std::uint16_t*>(hi_.data()),
+                   const_cast<std::uint16_t*>(lo_.data()), cache_.data(),
+                   cache_slot_.empty() ? nullptr : cache_slot_.data()};
+  switch (precision_) {
+    case EmbedPrecision::kFp32:
+      return dispatch_tier<Fp32Ops>(t, dim_, fn);
+    case EmbedPrecision::kFp24:
+      return dispatch_tier<Fp24Ops>(t, dim_, fn);
+    case EmbedPrecision::kBf16Split:
+      return dispatch_tier<Bf16SplitOps>(t, dim_, fn);
+    case EmbedPrecision::kBf16Split8:
+      return dispatch_tier<Bf16Split8Ops>(t, dim_, fn);
+    case EmbedPrecision::kFp16Stochastic:
+      return dispatch_tier<Fp16StochasticOps>(t, dim_, fn);
+  }
+}
+
+void EmbeddingTable::forward(const BagBatch& bags, float* out) const {
+  if (cache_enabled() && cache_opts_.policy == EmbCachePolicy::kCounter) {
+    note_forward_counters(bags);
+  }
+  const std::int64_t* idx = bags.indices.data();
+  const std::int64_t* off = bags.offsets.data();
+  with_row_kernel([&](const auto& k) {
+    using K = std::decay_t<decltype(k)>;
+    const std::int64_t dim = k.dim();
+    parallel_for_dynamic(0, bags.batch(), /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
+      // Each bag sums in lookup order from +0.0f, in registers for a
+      // compile-time dim. Arena hits and misses are tallied per block and
+      // folded in with one relaxed add each.
+      std::array<float, K::kDim> fixed{};
+      std::vector<float> spill(K::kDim > 0 ? 0 : dim, 0.0f);
+      float* acc = K::kDim > 0 ? fixed.data() : spill.data();
+      std::int64_t hits = 0;
+      visit_lookups<false>(
+          k, bags, lo, hi, kEveryRow,
+          [&](std::int64_t, std::int64_t s) { hits += k.accumulate(acc, idx[s]); },
+          [&](std::int64_t b) {
+            std::copy_n(acc, dim, out + b * dim);
+            std::fill_n(acc, dim, 0.0f);
+          });
+      if constexpr (K::kTiered) {
+        cache_hits_.fetch_add(hits, std::memory_order_relaxed);
+        cache_misses_.fetch_add(off[hi] - off[lo] - hits, std::memory_order_relaxed);
+      }
+    });
+  });
 }
 
 void EmbeddingTable::backward(const float* dy, const BagBatch& bags,
@@ -726,134 +942,23 @@ void EmbeddingTable::backward(const float* dy, const BagBatch& bags,
   });
 }
 
-// Cache-hit update: mutates the resident fp32 master so that after the
-// update `master == exact decoded storage state` still holds for every
-// precision — i.e. this mirrors update_row_lowp bit-for-bit, including the
-// stochastic-rounding rng stream, just without touching cold storage.
-void EmbeddingTable::update_master_row(float* master, std::int64_t row,
-                                       const float* grad, float lr,
-                                       std::uint64_t salt) {
-  switch (precision_) {
-    case EmbedPrecision::kFp32:
-      for (std::int64_t e = 0; e < dim_; ++e) master[e] -= lr * grad[e];
-      return;
-    case EmbedPrecision::kFp24:
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        master[e] = f32_to_f24_rne(master[e] - lr * grad[e]);
-      }
-      return;
-    case EmbedPrecision::kBf16Split:
-      // split/combine is a lossless 16/16 bit split, so the fast path is a
-      // plain fp32 subtract — this is where the cached tier wins over the
-      // combine/split round trip of the cold path.
-      for (std::int64_t e = 0; e < dim_; ++e) master[e] -= lr * grad[e];
-      return;
-    case EmbedPrecision::kBf16Split8:
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        const SplitF32 s = split_f32(master[e] - lr * grad[e]);
-        master[e] = combine_f32_partial(s.hi, s.lo, 8);
-      }
-      return;
-    case EmbedPrecision::kFp16Stochastic: {
-      std::uint64_t state = salt ^ (static_cast<std::uint64_t>(row) << 20);
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        const float updated = master[e] - lr * grad[e];
-        const std::uint16_t rnd =
-            static_cast<std::uint16_t>(detail::splitmix64(state) >> 48);
-        master[e] = f16_to_f32(f32_to_f16_stochastic(updated, rnd));
-      }
-      return;
-    }
-  }
-}
-
-void EmbeddingTable::update_row_fp32(std::int64_t row, const float* grad,
-                                     float lr) {
-  if (float* m = cached_row(row)) {
-    for (std::int64_t e = 0; e < dim_; ++e) m[e] -= lr * grad[e];
-    return;
-  }
-  float* __restrict__ w = w_.data() + row * dim_;
-  for (std::int64_t e = 0; e < dim_; ++e) w[e] -= lr * grad[e];
-}
-
-void EmbeddingTable::update_row_lowp(std::int64_t row, const float* grad,
-                                     float lr, std::uint64_t salt) {
-  if (float* m = cached_row(row)) {
-    update_master_row(m, row, grad, lr, salt);
-    return;
-  }
-  const std::int64_t base = row * dim_;
-  switch (precision_) {
-    case EmbedPrecision::kFp32:
-      update_row_fp32(row, grad, lr);
-      return;
-    case EmbedPrecision::kFp24:
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        w_[base + e] = f32_to_f24_rne(w_[base + e] - lr * grad[e]);
-      }
-      return;
-    case EmbedPrecision::kBf16Split:
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        // Reconstruct the implicit fp32 master weight, update at full
-        // accuracy, re-split. This is the whole Split-SGD trick.
-        float master = combine_f32(hi_[base + e], lo_[base + e]);
-        master -= lr * grad[e];
-        const SplitF32 s = split_f32(master);
-        hi_[base + e] = s.hi;
-        lo_[base + e] = s.lo;
-      }
-      return;
-    case EmbedPrecision::kBf16Split8:
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        float master = combine_f32_partial(hi_[base + e], lo_[base + e], 8);
-        master -= lr * grad[e];
-        const SplitF32 s = split_f32(master);
-        hi_[base + e] = s.hi;
-        lo_[base + e] = static_cast<std::uint16_t>(s.lo & 0xFF00u);
-      }
-      return;
-    case EmbedPrecision::kFp16Stochastic: {
-      std::uint64_t state = salt ^ (static_cast<std::uint64_t>(row) << 20);
-      for (std::int64_t e = 0; e < dim_; ++e) {
-        const float updated = f16_to_f32(hi_[base + e]) - lr * grad[e];
-        const std::uint16_t rnd =
-            static_cast<std::uint16_t>(detail::splitmix64(state) >> 48);
-        hi_[base + e] = f32_to_f16_stochastic(updated, rnd);
-      }
-      return;
-    }
-  }
-}
-
-namespace {
-
-// Thread-count and row-range helper for the race-free strategy (Alg 4).
-struct RowRange {
-  std::int64_t begin, end;
-};
-
-RowRange owned_rows(std::int64_t rows, int tid, int nthreads) {
-  return {rows * tid / nthreads, rows * (tid + 1) / nthreads};
-}
-
-}  // namespace
-
 void EmbeddingTable::apply_update(const Tensor<float>& dlookup,
                                   const BagBatch& bags, float lr,
                                   UpdateStrategy strategy) {
   const std::int64_t ns = bags.lookups();
   DLRM_CHECK(dlookup.size() == ns * dim_, "per-lookup grad shape mismatch");
+  DLRM_CHECK(strategy != UpdateStrategy::kAtomicXchg ||
+                 precision_ == EmbedPrecision::kFp32,
+             "AtomicXchg requires fp32 storage (32-bit CAS granularity)");
   const std::int64_t* idx = bags.indices.data();
   const float* dl = dlookup.data();
-  const std::int64_t dim = dim_;
-
-  switch (strategy) {
-    case UpdateStrategy::kReference: {
+  with_row_kernel([&](const auto& k) {
+    const std::int64_t dim = k.dim();
+    if (strategy == UpdateStrategy::kReference) {
       // Naive framework kernel: serial, dense full-table gradient that is
       // allocated, zeroed and applied with a whole-table sweep. O(M*E) work
       // independent of NS — authentically terrible, kept as the baseline.
-      Tensor<float> dense({rows_, dim_});
+      Tensor<float> dense({rows_, dim});
       dense.zero();
       for (std::int64_t s = 0; s < ns; ++s) {
         float* __restrict__ dst = dense.data() + idx[s] * dim;
@@ -861,133 +966,28 @@ void EmbeddingTable::apply_update(const Tensor<float>& dlookup,
         for (std::int64_t e = 0; e < dim; ++e) dst[e] += src[e];
       }
       for (std::int64_t r = 0; r < rows_; ++r) {
-        update_row_lowp(r, dense.data() + r * dim, lr, 0x9E3779B9ull);
+        k.update(r, dense.data() + r * dim, lr, 0x9E3779B9ull);
       }
       return;
     }
-    case UpdateStrategy::kAtomicXchg: {
-      DLRM_CHECK(precision_ == EmbedPrecision::kFp32,
-                 "AtomicXchg requires fp32 storage (32-bit CAS granularity)");
-      float* w = w_.data();
-      float* arena = cache_.data();
-      const std::int32_t* slot = cache_slot_.empty() ? nullptr
-                                                     : cache_slot_.data();
-      parallel_for_dynamic(0, ns, /*grain=*/64, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          float* __restrict__ row = w + idx[s] * dim;
-          if (slot) {
-            const std::int32_t sl = slot[static_cast<std::size_t>(idx[s])];
-            if (sl >= 0) row = arena + static_cast<std::int64_t>(sl) * dim;
-          }
-          const float* __restrict__ g = dl + s * dim;
-          for (std::int64_t e = 0; e < dim; ++e) {
-            atomic_add_float(&row[e], -lr * g[e]);
-          }
-        }
-      });
-      return;
-    }
-    case UpdateStrategy::kRtm: {
-      parallel_for_dynamic(0, ns, /*grain=*/64, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          StripeGuard guard(idx[s]);
-          update_row_lowp(idx[s], dl + s * dim, lr,
-                          0xA5A5A5A5ull + static_cast<std::uint64_t>(s));
-        }
-      });
-      return;
-    }
-    case UpdateStrategy::kRaceFree: {
-      const int nthreads = current_pool().size();
-      parallel_run([&](int tid) {
-        const RowRange range = owned_rows(rows_, tid, nthreads);
-        for (std::int64_t s = 0; s < ns; ++s) {
-          const std::int64_t row = idx[s];
-          if (row >= range.begin && row < range.end) {
-            update_row_lowp(row, dl + s * dim, lr,
-                            0xC3C3C3C3ull + static_cast<std::uint64_t>(s));
-          }
-        }
-      });
-      return;
-    }
-  }
+    constexpr std::uint64_t kSalt[] = {0, 0, 0xA5A5A5A5ull, 0xC3C3C3C3ull};
+    update_lookups(k, bags, lr, strategy, kSalt[static_cast<int>(strategy)],
+                   rows_, [&](std::int64_t, std::int64_t s) { return dl + s * dim; });
+  });
 }
 
 void EmbeddingTable::fused_backward_update(const float* dy,
                                            const BagBatch& bags, float lr,
                                            UpdateStrategy strategy) {
-  const std::int64_t n = bags.batch();
-  const std::int64_t* idx = bags.indices.data();
-  const std::int64_t* off = bags.offsets.data();
-  const std::int64_t dim = dim_;
-
-  switch (strategy) {
-    case UpdateStrategy::kReference: {
-      // Fused serial: already skips the dense scratch — this is the
-      // "optimized serial" lower bound, not the naive framework path.
-      for (std::int64_t b = 0; b < n; ++b) {
-        for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-          update_row_lowp(idx[s], dy + b * dim, lr,
-                          0x11111111ull + static_cast<std::uint64_t>(s));
-        }
-      }
-      return;
-    }
-    case UpdateStrategy::kAtomicXchg: {
-      DLRM_CHECK(precision_ == EmbedPrecision::kFp32,
-                 "AtomicXchg requires fp32 storage (32-bit CAS granularity)");
-      float* w = w_.data();
-      float* arena = cache_.data();
-      const std::int32_t* slot = cache_slot_.empty() ? nullptr
-                                                     : cache_slot_.data();
-      parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t b = lo; b < hi; ++b) {
-          const float* __restrict__ g = dy + b * dim;
-          for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-            float* __restrict__ row = w + idx[s] * dim;
-            if (slot) {
-              const std::int32_t sl = slot[static_cast<std::size_t>(idx[s])];
-              if (sl >= 0) row = arena + static_cast<std::int64_t>(sl) * dim;
-            }
-            for (std::int64_t e = 0; e < dim; ++e) {
-              atomic_add_float(&row[e], -lr * g[e]);
-            }
-          }
-        }
-      });
-      return;
-    }
-    case UpdateStrategy::kRtm: {
-      parallel_for_dynamic(0, n, /*grain=*/16, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t b = lo; b < hi; ++b) {
-          for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-            StripeGuard guard(idx[s]);
-            update_row_lowp(idx[s], dy + b * dim, lr,
-                            0x22222222ull + static_cast<std::uint64_t>(s));
-          }
-        }
-      });
-      return;
-    }
-    case UpdateStrategy::kRaceFree: {
-      const int nthreads = current_pool().size();
-      parallel_run([&](int tid) {
-        const RowRange range = owned_rows(rows_, tid, nthreads);
-        for (std::int64_t b = 0; b < n; ++b) {
-          const float* __restrict__ g = dy + b * dim;
-          for (std::int64_t s = off[b]; s < off[b + 1]; ++s) {
-            const std::int64_t row = idx[s];
-            if (row >= range.begin && row < range.end) {
-              update_row_lowp(row, g, lr,
-                              0x33333333ull + static_cast<std::uint64_t>(s));
-            }
-          }
-        }
-      });
-      return;
-    }
-  }
+  DLRM_CHECK(strategy != UpdateStrategy::kAtomicXchg ||
+                 precision_ == EmbedPrecision::kFp32,
+             "AtomicXchg requires fp32 storage (32-bit CAS granularity)");
+  with_row_kernel([&](const auto& k) {
+    constexpr std::uint64_t kSalt[] = {0x11111111ull, 0, 0x22222222ull,
+                                       0x33333333ull};
+    update_lookups(k, bags, lr, strategy, kSalt[static_cast<int>(strategy)],
+                   rows_, [&](std::int64_t b, std::int64_t) { return dy + b * k.dim(); });
+  });
 }
 
 std::int64_t EmbeddingTable::storage_bytes() const {

@@ -25,6 +25,19 @@
 // halves, implicit fp32 master weights); Split-SGD with only 8 low bits
 // (shown insufficient in the paper); fp16 with stochastic rounding (ref
 // [13]; fails to reach SOTA in the paper).
+//
+// Row kernels. The lookup loops are memory-bound (Sect. III.A): their speed
+// is the number of DRAM misses kept in flight. forward(),
+// fused_backward_update() and apply_update() therefore pick one row kernel
+// per call — precision, cache tier and dim (compile-time D in {16, 32, 64,
+// 128}, a runtime-dim fallback with the same body otherwise) — and run all
+// their lookups through its two row ops: accumulate a row into a bag sum,
+// update a row with its stochastic-rounding salt. Each lookup loop software-
+// prefetches the row a fixed number of lookups ahead (read intent in the
+// forward, write intent in the updates; kRaceFree prefetches only rows in the
+// thread's own range). None of this changes a bit: every bag sums in lookup
+// order, every element sees the same operations, and the per-lookup salt
+// streams and kAtomicXchg's CAS are unchanged.
 #pragma once
 
 #include <atomic>
@@ -191,9 +204,10 @@ class EmbeddingTable {
   //
   // A software-managed working tier: resident rows live as fp32 *master*
   // state (the exact decoded storage state, low halves included) in one
-  // contiguous arena. Forward/update dispatch per lookup between the arena
-  // and cold storage; eviction re-encodes through the same bit-exact codec
-  // as export_rows, so results are bit-identical with the cache on or off.
+  // contiguous arena. The row kernels test residency per lookup and run the
+  // same per-precision element ops on an arena master or a cold row;
+  // eviction re-encodes through the same bit-exact codec as export_rows, so
+  // results are bit-identical with the cache on or off.
   // The cache is derived state: checkpoints (export_rows) read through it
   // and never record it.
 
@@ -226,13 +240,10 @@ class EmbeddingTable {
   std::int64_t cache_bytes() const;
 
  private:
-  template <typename UpdateRow>
-  void update_dispatch(const BagBatch& bags, UpdateStrategy strategy,
-                       const UpdateRow& touch_row);
-
-  void update_row_fp32(std::int64_t row, const float* grad, float lr);
-  void update_row_lowp(std::int64_t row, const float* grad, float lr,
-                       std::uint64_t salt);
+  /// Calls fn(kernel) with the row kernel of this table's precision, dim
+  /// and cache tier (embedding.cpp): the one dispatch of a lookup call.
+  template <typename Fn>
+  void with_row_kernel(Fn&& fn) const;
 
   /// Arena pointer for `row`, or nullptr when not resident (or cache off).
   float* cached_row(std::int64_t row) {
@@ -248,9 +259,6 @@ class EmbeddingTable {
   void store_master_row(std::int64_t row, const float* master);
   void encode_row_bytes(const float* master, unsigned char* out) const;
   void evict_slot(std::int64_t slot);
-  void update_master_row(float* master, std::int64_t row, const float* grad,
-                         float lr, std::uint64_t salt);
-  void forward_cached(const BagBatch& bags, float* out) const;
   /// kCounter bookkeeping: serial per-forward row counting + periodic
   /// decay/re-admission. Logically const (derived state only).
   void note_forward_counters(const BagBatch& bags) const;

@@ -1,10 +1,14 @@
 // Tests for EmbeddingBag forward/backward and the four update strategies
-// (Algorithms 1–4) across storage precisions.
+// (Algorithms 1–4) across storage precisions, and bitwise parity of the row
+// kernels with a scalar reference.
 #include "kernels/embedding.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -328,6 +332,278 @@ TEST(BagBatch, ValidateCatchesCorruption) {
   bags.offsets[2] = 100;
   EXPECT_THROW(bags.validate(10), CheckError);
 }
+
+// ---- Row-kernel parity ------------------------------------------------------
+//
+// The dim-specialized, prefetched row kernels against a scalar reference kept
+// here: the table state as fp32 masters (the exact decoded storage state,
+// Split-SGD low halves included), summed and updated element by element in
+// lookup order. Dims 16/64/128 take specialized kernels, 13 the runtime-dim
+// fallback; kCounter runs both tiers with rows moving between them.
+
+// w - lr * g with the kernels' rounding: one fused multiply-add on FMA
+// targets.
+float ref_sgd(float w, float lr, float g) {
+#ifdef __FMA__
+  return std::fma(-lr, g, w);
+#else
+  return w - lr * g;
+#endif
+}
+
+class RefTable {
+ public:
+  explicit RefTable(const EmbeddingTable& t)
+      : prec_(t.precision()), dim_(t.dim()),
+        m_(static_cast<std::size_t>(t.rows() * t.dim())) {
+    const std::vector<unsigned char> bytes = export_bytes(t);
+    const std::size_t rb = static_cast<std::size_t>(t.checkpoint_row_bytes());
+    for (std::int64_t r = 0; r < t.rows(); ++r) {
+      const unsigned char* row = bytes.data() + static_cast<std::size_t>(r) * rb;
+      for (std::int64_t e = 0; e < dim_; ++e) at(r, e) = decode(row, e);
+    }
+  }
+
+  static std::vector<unsigned char> export_bytes(const EmbeddingTable& t) {
+    std::vector<unsigned char> bytes(
+        static_cast<std::size_t>(t.rows() * t.checkpoint_row_bytes()));
+    t.export_rows(0, t.rows(), bytes.data());
+    return bytes;
+  }
+
+  // The export_rows encoding of the reference state.
+  std::vector<unsigned char> encode() const {
+    const std::int64_t rows = static_cast<std::int64_t>(m_.size()) / dim_;
+    const std::int64_t rb = EmbeddingTable::checkpoint_row_bytes(prec_, dim_);
+    std::vector<unsigned char> out(static_cast<std::size_t>(rows * rb));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      unsigned char* row = out.data() + r * rb;
+      for (std::int64_t e = 0; e < dim_; ++e) {
+        const float v = at(r, e);
+        switch (prec_) {
+          case EmbedPrecision::kFp32:
+          case EmbedPrecision::kFp24:
+            std::memcpy(row + e * 4, &v, 4);
+            break;
+          case EmbedPrecision::kBf16Split:
+          case EmbedPrecision::kBf16Split8: {
+            const SplitF32 sp = split_f32(v);
+            std::memcpy(row + e * 2, &sp.hi, 2);
+            std::memcpy(row + (dim_ + e) * 2, &sp.lo, 2);
+            break;
+          }
+          case EmbedPrecision::kFp16Stochastic: {
+            const std::uint16_t h = f32_to_f16_rne(v);
+            std::memcpy(row + e * 2, &h, 2);
+            break;
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  void forward(const BagBatch& bags, float* out) const {
+    for (std::int64_t b = 0; b < bags.batch(); ++b) {
+      for (std::int64_t e = 0; e < dim_; ++e) {
+        float acc = 0.0f;
+        for (std::int64_t s = bags.offsets[b]; s < bags.offsets[b + 1]; ++s) {
+          acc += weight(at(bags.indices[s], e));
+        }
+        out[b * dim_ + e] = acc;
+      }
+    }
+  }
+
+  // W[row] -= lr * g, rounding with the stream seeded by (salt, row).
+  void update(std::int64_t row, const float* g, float lr, std::uint64_t salt) {
+    std::uint64_t rs = salt ^ (static_cast<std::uint64_t>(row) << 20);
+    for (std::int64_t e = 0; e < dim_; ++e) {
+      const float x = ref_sgd(at(row, e), lr, g[e]);
+      float& m = at(row, e);
+      switch (prec_) {
+        case EmbedPrecision::kFp32:
+        case EmbedPrecision::kBf16Split:
+          m = x;
+          break;
+        case EmbedPrecision::kFp24:
+          m = f32_to_f24_rne(x);
+          break;
+        case EmbedPrecision::kBf16Split8: {
+          const SplitF32 sp = split_f32(x);
+          m = combine_f32_partial(sp.hi, sp.lo, 8);
+          break;
+        }
+        case EmbedPrecision::kFp16Stochastic:
+          m = f16_to_f32(f32_to_f16_stochastic(
+              x, static_cast<std::uint16_t>(detail::splitmix64(rs) >> 48)));
+          break;
+      }
+    }
+  }
+
+  // apply_update(kReference): a dense gradient summed in lookup order, then
+  // a sweep over every row.
+  void dense_update(const Tensor<float>& dl, const BagBatch& bags, float lr) {
+    const std::int64_t rows = static_cast<std::int64_t>(m_.size()) / dim_;
+    std::vector<float> dense(m_.size(), 0.0f);
+    for (std::int64_t s = 0; s < bags.lookups(); ++s) {
+      for (std::int64_t e = 0; e < dim_; ++e) {
+        dense[static_cast<std::size_t>(bags.indices[s] * dim_ + e)] += dl[s * dim_ + e];
+      }
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      update(r, dense.data() + r * dim_, lr, 0x9E3779B9ull);
+    }
+  }
+
+ private:
+  float& at(std::int64_t r, std::int64_t e) {
+    return m_[static_cast<std::size_t>(r * dim_ + e)];
+  }
+  float at(std::int64_t r, std::int64_t e) const {
+    return m_[static_cast<std::size_t>(r * dim_ + e)];
+  }
+  // Model weight of a master: its top 16 bits for the bf16 variants. An
+  // integer mask, because g++ 12.2 folds `c ? <m with low bits cleared> : m`
+  // to plain `m` from -O1 up.
+  float weight(float m) const {
+    const bool bf16 = prec_ == EmbedPrecision::kBf16Split ||
+                      prec_ == EmbedPrecision::kBf16Split8;
+    const std::uint32_t keep = bf16 ? 0xFFFF0000u : 0xFFFFFFFFu;
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(m) & keep);
+  }
+  float decode(const unsigned char* row, std::int64_t e) const {
+    std::uint16_t hi = 0, lo = 0;
+    float v = 0.0f;
+    switch (prec_) {
+      case EmbedPrecision::kFp32:
+      case EmbedPrecision::kFp24:
+        std::memcpy(&v, row + e * 4, 4);
+        return v;
+      case EmbedPrecision::kBf16Split:
+      case EmbedPrecision::kBf16Split8:
+        std::memcpy(&hi, row + e * 2, 2);
+        std::memcpy(&lo, row + (dim_ + e) * 2, 2);
+        return combine_f32(hi, lo);
+      case EmbedPrecision::kFp16Stochastic:
+        std::memcpy(&hi, row + e * 2, 2);
+        return f16_to_f32(hi);
+    }
+    return v;
+  }
+
+  EmbedPrecision prec_;
+  std::int64_t dim_;
+  std::vector<float> m_;
+};
+
+// Bags of 0..5 lookups (every fifth bag empty), Zipf over `rows`.
+BagBatch ragged_bags(std::int64_t n, std::int64_t rows, std::uint64_t seed) {
+  BagBatch bags;
+  bags.offsets.reshape({n + 1});
+  bags.offsets[0] = 0;
+  for (std::int64_t b = 0; b < n; ++b) {
+    bags.offsets[b + 1] = bags.offsets[b] + (b % 5 == 2 ? 0 : (b * 7 + 3) % 6);
+  }
+  bags.indices.reshape({bags.offsets[n]});
+  Rng rng(seed);
+  ZipfSampler zipf(rows, 1.05);
+  for (std::int64_t s = 0; s < bags.lookups(); ++s) bags.indices[s] = zipf(rng);
+  return bags;
+}
+
+using RowKernelCase = std::tuple<EmbedPrecision, std::int64_t, EmbCachePolicy>;
+
+class RowKernelParityTest : public ::testing::TestWithParam<RowKernelCase> {};
+
+TEST_P(RowKernelParityTest, ForwardAndUpdatesMatchScalarReference) {
+  const auto [prec, dim, policy] = GetParam();
+  const std::int64_t rows = 97;
+  const float lr = 0.05f;
+  struct Mode {
+    UpdateStrategy strategy;
+    bool fused;
+  };
+  for (const Mode mode : {Mode{UpdateStrategy::kReference, true},
+                          Mode{UpdateStrategy::kRaceFree, true},
+                          Mode{UpdateStrategy::kReference, false},
+                          Mode{UpdateStrategy::kRaceFree, false}}) {
+    // 40 bags with empty ones among them, then 5 bags holding fewer lookups
+    // than the prefetch distance.
+    for (const std::int64_t n : {40, 5}) {
+      SCOPED_TRACE(testing::Message()
+                   << to_string(mode.strategy) << (mode.fused ? " fused" : " unfused")
+                   << " bags=" << n);
+      EmbeddingTable table(rows, dim, prec);
+      Rng init(91);
+      table.init(init, 0.5f);
+      EmbCacheOptions co;
+      co.capacity = 24;
+      co.policy = policy;
+      co.refresh_every = 2;
+      table.configure_cache(co);
+      RefTable ref(table);
+
+      for (int iter = 0; iter < 4; ++iter) {
+        const BagBatch bags =
+            ragged_bags(n, rows, 300 + static_cast<std::uint64_t>(iter));
+        Tensor<float> out({n, dim}), expect({n, dim});
+        table.forward(bags, out.data());
+        ref.forward(bags, expect.data());
+        ASSERT_EQ(std::memcmp(out.data(), expect.data(),
+                              static_cast<std::size_t>(n * dim) * sizeof(float)),
+                  0)
+            << "forward, iteration " << iter;
+
+        Tensor<float> dy({n, dim});
+        Rng grad(400 + static_cast<std::uint64_t>(iter));
+        fill_uniform(dy, grad, 1.0f);
+        Tensor<float> dl;
+        table.backward(dy.data(), bags, dl);
+        if (mode.fused) {
+          table.fused_backward_update(dy.data(), bags, lr, mode.strategy);
+        } else {
+          table.apply_update(dl, bags, lr, mode.strategy);
+        }
+        if (!mode.fused && mode.strategy == UpdateStrategy::kReference) {
+          ref.dense_update(dl, bags, lr);
+        } else {
+          // Race-free threads each update their own rows in lookup order,
+          // so the per-row sequence equals the serial one.
+          const std::uint64_t salt =
+              mode.fused ? (mode.strategy == UpdateStrategy::kReference
+                                ? 0x11111111ull
+                                : 0x33333333ull)
+                         : 0xC3C3C3C3ull;
+          for (std::int64_t s = 0; s < bags.lookups(); ++s) {
+            ref.update(bags.indices[s], dl.data() + s * dim, lr,
+                       salt + static_cast<std::uint64_t>(s));
+          }
+        }
+        EXPECT_EQ(RefTable::export_bytes(table), ref.encode())
+            << "stored bytes, iteration " << iter;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionsDimsTiers, RowKernelParityTest,
+    ::testing::Combine(
+        ::testing::Values(EmbedPrecision::kFp32, EmbedPrecision::kBf16Split,
+                          EmbedPrecision::kBf16Split8,
+                          EmbedPrecision::kFp16Stochastic, EmbedPrecision::kFp24),
+        ::testing::Values(std::int64_t{13}, std::int64_t{16}, std::int64_t{64},
+                          std::int64_t{128}),
+        ::testing::Values(EmbCachePolicy::kOff, EmbCachePolicy::kCounter)),
+    [](const ::testing::TestParamInfo<RowKernelCase>& tpi) {
+      std::string name = std::string(to_string(std::get<0>(tpi.param))) + "_d" +
+                         std::to_string(std::get<1>(tpi.param)) + "_cache_" +
+                         to_string(std::get<2>(tpi.param));
+      std::erase(name, '-');
+      return name;
+    });
 
 TEST(AtomicAddFloat, ConcurrentSumsExactCount) {
   float value = 0.0f;

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dlrm {
@@ -78,6 +81,69 @@ TEST(ThreadPool, RepeatedJobsStress) {
     });
   }
   EXPECT_EQ(total.load(), 500 * 64);
+}
+
+// After a job threw, the pool must run the next job on every tid.
+void expect_pool_usable(ThreadPool& pool) {
+  std::atomic<std::int64_t> sum{0};
+  pool.parallel_for(0, 1000, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) sum += i;
+  });
+  EXPECT_EQ(sum.load(), 499500);
+  std::atomic<int> tids{0};
+  pool.run([&](int) { tids++; });
+  EXPECT_EQ(tids.load(), pool.size());
+}
+
+TEST(ThreadPoolErrors, RunRethrowsFromTidZero) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.run([&](int tid) {
+                 if (tid == 0) throw std::runtime_error("tid 0");
+                 finished++;
+               }),
+               std::runtime_error);
+  // run() returned only after every worker was done with the job.
+  EXPECT_EQ(finished.load(), 3);
+  expect_pool_usable(pool);
+}
+
+TEST(ThreadPoolErrors, RunRethrowsFromWorker) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.run([](int tid) {
+                 if (tid == 2) throw std::runtime_error("worker");
+               }),
+               std::runtime_error);
+  expect_pool_usable(pool);
+  // Every participant throwing still yields one exception, not terminate.
+  EXPECT_THROW(pool.run([](int) { throw std::runtime_error("all"); }),
+               std::runtime_error);
+  expect_pool_usable(pool);
+}
+
+TEST(ThreadPoolErrors, ParallelForDynamicRethrowsFromCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_THROW(
+      pool.parallel_for_dynamic(0, 64, 1, [&](std::int64_t, std::int64_t) {
+        if (std::this_thread::get_id() == caller) throw std::runtime_error("caller");
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }),
+      std::runtime_error);
+  expect_pool_usable(pool);
+}
+
+TEST(ThreadPoolErrors, ParallelForDynamicRethrowsFromWorker) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_THROW(
+      pool.parallel_for_dynamic(0, 64, 1, [&](std::int64_t, std::int64_t) {
+        if (std::this_thread::get_id() != caller) throw std::runtime_error("worker");
+        // The caller works slowly so that workers get chunks of their own.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }),
+      std::runtime_error);
+  expect_pool_usable(pool);
 }
 
 TEST(PoolScope, InstallsAndRestoresCurrentPool) {
