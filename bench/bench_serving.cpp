@@ -2,9 +2,9 @@
 // plus the admission-control and sharded-tier sections.
 //
 // For each (offered QPS, batching policy) cell, a Poisson load generator
-// drives the InferenceEngine for a fixed request count and one BENCH_JSON
-// row reports the per-request latency percentiles, achieved throughput,
-// and batch-shape statistics. The point of the sweep is the serving
+// drives a 1-rank ShardedInferenceEngine for a fixed request count and one
+// BENCH_JSON row reports the per-request latency percentiles, achieved
+// throughput, and batch-shape statistics. The point of the sweep is the serving
 // trade-off: batch=1 minimizes queueing at low load but saturates first;
 // dynamic micro-batching amortizes the forward pass and sustains higher
 // offered load at an equal-or-better p99.
@@ -25,10 +25,8 @@
 #include "core/config.hpp"
 #include "core/sharding.hpp"
 #include "core/trainer.hpp"
-#include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/sharded.hpp"
-#include "serve/snapshot.hpp"
 
 namespace dlrm {
 namespace {
@@ -45,14 +43,14 @@ struct Policy {
   bool bucket = false;  // pow2 batch-size bucketing (padded execution)
 };
 
-void run_cell(serve::ModelSnapshot& snap, const Dataset& data, double qps,
+void run_cell(serve::ShardedSnapshot& snap, const Dataset& data, double qps,
               const Policy& pol) {
-  serve::EngineOptions eopts;
+  serve::ShardedEngineOptions eopts;
   eopts.policy = pol.policy;
   eopts.queue_capacity = 4096;
   eopts.slo_ms = 5.0;
   eopts.bucket_batches = pol.bucket;
-  serve::InferenceEngine engine(snap, data, eopts);
+  serve::ShardedInferenceEngine engine(snap, data, eopts);
   engine.start();
 
   serve::LoadGenOptions lopts;
@@ -91,14 +89,14 @@ void run_cell(serve::ModelSnapshot& snap, const Dataset& data, double qps,
 
 // One overload run with a 60/40 interactive/batch mix; `target_us` == 0
 // disables the controller (the coordinated-omission-free baseline).
-void run_admission_cell(serve::ModelSnapshot& snap, const Dataset& data,
+void run_admission_cell(serve::ShardedSnapshot& snap, const Dataset& data,
                         double target_us) {
-  serve::EngineOptions eopts;
+  serve::ShardedEngineOptions eopts;
   eopts.policy = {.max_batch = 32, .max_wait_us = 1000};
   eopts.queue_capacity = 256;
   eopts.slo_ms = 5.0;
   eopts.admission.p99_target_ms = target_us * 1e-3;
-  serve::InferenceEngine engine(snap, data, eopts);
+  serve::ShardedInferenceEngine engine(snap, data, eopts);
   engine.start();
 
   serve::LoadGenOptions lopts;
@@ -190,11 +188,13 @@ int main() {
   RandomDataset data(c.bottom_mlp.front(), c.table_rows, c.pooling, 11);
 
   // Serve real (briefly trained) weights, published through the snapshot
-  // path the serving engine uses in production.
+  // path the serving engine uses in production; the policy and admission
+  // cells serve them from one rank.
   DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = c.minibatch});
   trainer.train(8);
-  serve::ModelSnapshot snap(c, {});
+  serve::ShardedSnapshot snap(c, {},
+                              ShardingPlan::round_robin(c.table_rows, 1));
   snap.publish_from(model, trainer.iterations_done());
 
   const std::vector<Policy> policies = {

@@ -1,32 +1,26 @@
 #!/usr/bin/env bash
-# Runs a set of benchmark binaries and aggregates every BENCH_JSON row they
-# emit into one machine-readable file (default BENCH_PR10.json: a JSON array,
-# one element per row, each annotated with the binary it came from).
+# Runs the named benchmark binaries and aggregates every BENCH_JSON row they
+# emit into one machine-readable file: a JSON array, one element per row,
+# each annotated with the binary it came from.
 #
-#   $ bench/collect_bench.sh <build-dir> [out.json] [bench ...]
+#   $ bench/collect_bench.sh <build-dir> <out.json> <bench> [bench ...]
 #
-# With no bench names, runs the PR 10 headline set: the Fig. 13 weak-scaling
-# breakdown with the elastic-pipeline controller ablation (off/on rows plus
-# per-window convergence-trace rows), the serving sweep — policy cells, the
-# 2-class admission-control overload (controller off/on), and the
-# sharded-tier replay rows including the pow2-bucketed cell — the Table I
-# config rows, and the single-socket training throughput row the stall
-# numbers are read against. Any bench binary that emits BENCH_JSON rows can
-# be named explicitly instead. Raw logs land next to the output file.
+# Any bench binary that emits BENCH_JSON rows can be named. There is no
+# default output file and no default bench set: the caller names both.
+# Raw logs land next to the output file.
 set -euo pipefail
 
-BUILD_DIR="${1:?usage: collect_bench.sh <build-dir> [out.json] [bench ...]}"
-OUT="${2:-BENCH_PR10.json}"
-shift || true
-[ "$#" -gt 0 ] && shift || true
-BENCHES=("$@")
-if [ "${#BENCHES[@]}" -eq 0 ]; then
-  BENCHES=(bench_table1_configs bench_serving bench_fig7_single_socket
-           bench_fig13_weak_breakdown)
+USAGE="usage: collect_bench.sh <build-dir> <out.json> <bench> [bench ...]"
+if [ "$#" -lt 3 ]; then
+  echo "${USAGE}" >&2
+  exit 2
 fi
+BUILD_DIR="$1"
+OUT="$2"
+shift 2
+BENCHES=("$@")
 
 LOG_DIR="$(dirname "${OUT}")"
-[ "${LOG_DIR}" = "" ] && LOG_DIR="."
 TMP_ROWS="$(mktemp "${TMPDIR:-/tmp}/bench_rows.XXXXXX")"
 trap 'rm -f "${TMP_ROWS}"' EXIT
 

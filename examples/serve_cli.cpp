@@ -3,7 +3,8 @@
 //   $ ./serve_cli --config=small --scale-rows=256 --scale-batch=16
 //                 --qps=2000 --requests=2000 --fanout=4 --zipf=0.9
 //                 --max-batch=32 --max-wait-us=1000 [--queue-cap=N]
-//                 [--slo-ms=X] [--drop-when-full] [--train-iters=N]
+//                 [--slo-ms=X] [--drop-when-full] [--bucket-batches]
+//                 [--train-iters=N]
 //                 [--publish-every=N] [--checkpoint-dir=DIR]
 //                 [--serve-ranks=R] [--serve-sharding=round_robin|row_split]
 //                 [--row-split-threshold=N] [--slo-class-mix=F]
@@ -18,19 +19,21 @@
 // while training continues — the serve-while-training loop, with snapshots
 // handed over at micro-batch boundaries.
 //
-// --serve-ranks=R > 1 serves through the model-parallel sharded tier: R
-// serving ranks over a ThreadComm, each holding only its plan shards
-// (--serve-sharding picks the geometry), with embedding lookups fanned out
-// and gathered per micro-batch. Results are bit-identical to the
-// single-process engine. --slo-class-mix=F marks a (1-F) fraction of the
-// generated load as batch class; --p99-target-us arms the admission
-// controller, which defers and then sheds batch traffic whenever the
-// measured rolling interactive p99 approaches the target (hysteresis
-// re-admission on recovery).
+// Serving runs on R = --serve-ranks serving ranks (default 1) over a
+// ThreadComm, each holding only its plan shards (--serve-sharding picks the
+// geometry), with embedding lookups fanned out and gathered per
+// micro-batch; every rank owns a compute pool of 1/R of the host threads.
+// Results are bit-identical to a single-process forward for every R.
+// --bucket-batches pads each micro-batch to a power-of-two sample count.
+// --slo-class-mix=F marks a (1-F) fraction of the generated load as batch
+// class; --p99-target-us arms the admission controller, which defers and
+// then sheds batch traffic whenever the measured rolling interactive p99
+// approaches the target (hysteresis re-admission on recovery).
 //
 // --check-serving exits nonzero unless the request accounting closes
 // (served + rejected + shed == generated) and the served scores match
-// per-request offline forwards bit-for-bit (CI smoke).
+// per-request offline DlrmModel forwards on the source weights bit-for-bit
+// (CI smoke).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -41,14 +44,13 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/timer.hpp"
 #include "core/config.hpp"
 #include "core/sharding.hpp"
 #include "core/trainer.hpp"
-#include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/sharded.hpp"
-#include "serve/snapshot.hpp"
 #include "stats/profiler.hpp"
 
 namespace dlrm {
@@ -150,11 +152,25 @@ ShardingPlan pick_plan(const Args& a, const DlrmConfig& c) {
   std::exit(2);
 }
 
-/// Drives one engine (single-process or sharded — identical member
-/// surface) through the Poisson load, optionally republishing fresh
-/// weights from `trainer` into the idle snapshot buffer.
-template <class Engine, class Snapshot>
-void drive(const Args& args, Engine& engine, Snapshot& snapA, Snapshot& snapB,
+/// Loads `dir` into `model` through the checkpoint reader, one full-table
+/// shard per table (any saved geometry): the offline reference for
+/// --check-serving in --checkpoint-dir mode.
+void load_reference(const std::string& dir, DlrmModel& model) {
+  ckpt::CheckpointReader reader(dir);
+  reader.check_model(ckpt::ModelConfigKey::from(
+      model.config(), model.options().embed_precision,
+      reader.saved_key().global_batch));
+  reader.load_dense(model.bottom_mlp(), model.top_mlp());
+  for (std::int64_t t = 0; t < model.tables(); ++t) {
+    const Shard full{t, 0, model.table(t).rows(), /*rank=*/0, /*cost=*/0.0};
+    reader.load_shard_rows(full, model.table(t));
+  }
+}
+
+/// Drives the engine through the Poisson load, optionally republishing
+/// fresh weights from `trainer` into the idle snapshot buffer.
+void drive(const Args& args, serve::ShardedInferenceEngine& engine,
+           serve::ShardedSnapshot& snapA, serve::ShardedSnapshot& snapB,
            DlrmModel& model, Trainer& trainer, serve::PoissonLoadGen& gen) {
   engine.start();
   if (args.publish_every > 0 && args.checkpoint_dir.empty()) {
@@ -162,11 +178,11 @@ void drive(const Args& args, Engine& engine, Snapshot& snapA, Snapshot& snapB,
     // another, double-buffered snapshots handed over at batch boundaries.
     std::atomic<bool> done{false};
     std::thread publisher([&] {
-      Snapshot* snaps[2] = {&snapA, &snapB};
+      serve::ShardedSnapshot* snaps[2] = {&snapA, &snapB};
       int pub = 0;
       while (!done.load()) {
         trainer.train(1);
-        Snapshot* idle = snaps[(++pub) % 2];
+        serve::ShardedSnapshot* idle = snaps[(++pub) % 2];
         idle->publish_from(model, trainer.iterations_done());
         engine.set_snapshot(idle);
         // The retired buffer is only reusable once the handover is
@@ -241,8 +257,8 @@ void print_summary(const Args& args, const serve::ServeStats& s) {
 
 int check_serving(const Args& args, const serve::ServeStats& s,
                   const std::vector<serve::Response>& responses,
-                  const serve::LoadGenOptions& lopts,
-                  serve::ModelSnapshot& offline_snap, const Dataset& data) {
+                  const serve::LoadGenOptions& lopts, DlrmModel& reference,
+                  const Dataset& data) {
   if (s.requests + s.rejected + s.shed != args.requests || s.requests < 1) {
     std::fprintf(stderr,
                  "CHECK FAILED: %lld answered + %lld rejected + %lld shed "
@@ -254,16 +270,17 @@ int check_serving(const Args& args, const serve::ServeStats& s,
     return 1;
   }
   // Bit-exactness: every served score must equal an offline per-request
-  // forward on the final snapshot. Only valid for a frozen snapshot. The
-  // offline reference is always the *single-process* snapshot, so for
-  // --serve-ranks > 1 this doubles as the sharded-parity check.
+  // forward on the source weights. Only valid for a frozen snapshot. The
+  // reference is a single-process DlrmModel, so this doubles as the
+  // sharded-parity check for every --serve-ranks.
   if (args.publish_every == 0) {
     const std::vector<serve::Request> trace = serve::make_trace(lopts);
     std::map<std::int64_t, float> offline;
     MiniBatch mb;
     for (const serve::Request& r : trace) {
       data.fill(r.key, r.fanout, mb);
-      offline[r.id] = offline_snap.forward(mb)[0];
+      if (reference.batch() != r.fanout) reference.set_batch(r.fanout);
+      offline[r.id] = reference.forward(mb)[0];
     }
     for (const serve::Response& r : responses) {
       if (offline.at(r.id) != r.score0) {
@@ -288,14 +305,18 @@ int run(const Args& args) {
 
   DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = c.minibatch});
-  // The single-process snapshot always exists: it serves when
-  // --serve-ranks=1 and is the offline reference for --check-serving.
-  serve::ModelSnapshot snapA(c, {}), snapB(c, {});
+  const ShardingPlan plan = pick_plan(args, c);
+  std::printf("serving: %d ranks, %lld shards (%s)\n", args.serve_ranks,
+              static_cast<long long>(plan.num_shards()),
+              args.serve_sharding.c_str());
+  serve::ShardedSnapshot snapA(c, {}, plan), snapB(c, {}, plan);
   if (!args.checkpoint_dir.empty()) {
     snapA.publish_from_checkpoint(args.checkpoint_dir);
     std::printf("restored snapshot version %lld from %s\n",
                 static_cast<long long>(snapA.version()),
                 args.checkpoint_dir.c_str());
+    // Nothing trains `model` in this mode: it becomes the reference.
+    if (args.check_serving) load_reference(args.checkpoint_dir, model);
   } else {
     trainer.train(args.train_iters);
     snapA.publish_from(model, trainer.iterations_done());
@@ -313,52 +334,21 @@ int run(const Args& args) {
   lopts.drop_when_full = args.drop_when_full;
   lopts.interactive_frac = args.slo_class_mix;
 
-  serve::AdmissionOptions admission;
-  admission.p99_target_ms = args.p99_target_us * 1e-3;
-
-  serve::ServeStats s;
-  std::vector<serve::Response> responses;
-  if (args.serve_ranks > 1) {
-    const ShardingPlan plan = pick_plan(args, c);
-    std::printf("sharded serving: %d ranks, %lld shards (%s)\n",
-                args.serve_ranks, static_cast<long long>(plan.num_shards()),
-                args.serve_sharding.c_str());
-    serve::ShardedSnapshot shardA(c, {}, plan), shardB(c, {}, plan);
-    if (!args.checkpoint_dir.empty()) {
-      shardA.publish_from_checkpoint(args.checkpoint_dir);
-    } else {
-      shardA.publish_from(model, trainer.iterations_done());
-    }
-    serve::ShardedEngineOptions eopts;
-    eopts.policy = {.max_batch = args.max_batch,
-                    .max_wait_us = args.max_wait_us};
-    eopts.queue_capacity = args.queue_cap;
-    eopts.slo_ms = args.slo_ms;
-    eopts.admission = admission;
-    serve::ShardedInferenceEngine engine(shardA, data, eopts, profp);
-    serve::PoissonLoadGen gen(engine, lopts);
-    drive(args, engine, shardA, shardB, model, trainer, gen);
-    s = engine.stats();
-    responses = engine.responses();
-  } else {
-    serve::EngineOptions eopts;
-    eopts.policy = {.max_batch = args.max_batch,
-                    .max_wait_us = args.max_wait_us};
-    eopts.queue_capacity = args.queue_cap;
-    eopts.slo_ms = args.slo_ms;
-    eopts.bucket_batches = args.bucket_batches;
-    eopts.admission = admission;
-    serve::InferenceEngine engine(snapA, data, eopts, profp);
-    serve::PoissonLoadGen gen(engine, lopts);
-    drive(args, engine, snapA, snapB, model, trainer, gen);
-    s = engine.stats();
-    responses = engine.responses();
-  }
+  serve::ShardedEngineOptions eopts;
+  eopts.policy = {.max_batch = args.max_batch, .max_wait_us = args.max_wait_us};
+  eopts.queue_capacity = args.queue_cap;
+  eopts.slo_ms = args.slo_ms;
+  eopts.admission.p99_target_ms = args.p99_target_us * 1e-3;
+  eopts.bucket_batches = args.bucket_batches;
+  serve::ShardedInferenceEngine engine(snapA, data, eopts, profp);
+  serve::PoissonLoadGen gen(engine, lopts);
+  drive(args, engine, snapA, snapB, model, trainer, gen);
+  const serve::ServeStats s = engine.stats();
 
   print_summary(args, s);
   if (args.profile) std::printf("%s", prof.report().c_str());
   if (args.check_serving) {
-    return check_serving(args, s, responses, lopts, snapA, data);
+    return check_serving(args, s, engine.responses(), lopts, model, data);
   }
   return 0;
 }

@@ -117,8 +117,6 @@ void ThreadPool::parallel_for_dynamic(
   });
 }
 
-namespace {
-
 int default_pool_threads() {
   if (const char* env = std::getenv("DLRM_NUM_THREADS")) {
     const int n = std::atoi(env);
@@ -127,6 +125,8 @@ int default_pool_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : static_cast<int>(hw);
 }
+
+namespace {
 
 thread_local ThreadPool* tls_current_pool = nullptr;
 

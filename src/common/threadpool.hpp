@@ -72,8 +72,13 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// Process-wide default pool, sized to hardware_concurrency (or the
-/// DLRM_NUM_THREADS environment variable if set). Created on first use.
+/// Host thread budget: the DLRM_NUM_THREADS environment variable if set,
+/// else hardware_concurrency. Callers that split the host between several
+/// concurrent pools size them from this.
+int default_pool_threads();
+
+/// Process-wide default pool of default_pool_threads() threads, for a single
+/// caller at a time. Created on first use.
 ThreadPool& default_pool();
 
 /// Pool the calling thread currently dispatches to (never null).

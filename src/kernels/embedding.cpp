@@ -259,13 +259,13 @@ void EmbeddingTable::read_row(std::int64_t row, float* out) const {
   if (const float* m = cached_row(row)) {
     // Model-weight view of the cached master: bf16 variants expose only the
     // hi half (top 16 bits of the master), everything else is the master
-    // itself.
+    // itself. An integer keep-mask, not `mask ? masked : m[e]`: g++ 12 folds
+    // that select to plain m[e].
     const bool mask = precision_ == EmbedPrecision::kBf16Split ||
                       precision_ == EmbedPrecision::kBf16Split8;
+    const std::uint32_t keep = mask ? 0xFFFF0000u : ~0u;
     for (std::int64_t e = 0; e < dim_; ++e) {
-      out[e] = mask ? std::bit_cast<float>(
-                          std::bit_cast<std::uint32_t>(m[e]) & 0xFFFF0000u)
-                    : m[e];
+      out[e] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(m[e]) & keep);
     }
     return;
   }

@@ -6,7 +6,7 @@
 
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "serve/engine.hpp"
+#include "serve/sharded.hpp"
 
 namespace dlrm::serve {
 

@@ -16,7 +16,7 @@
 //     only once the p99 has genuinely recovered.
 //
 // Shed requests are still accounted against their intended-arrival stamps
-// by the engines (see note_refused), so open-loop percentiles under
+// by the engine (see note_refused), so open-loop percentiles under
 // shedding do not silently drop the worst requests (no coordinated
 // omission in the shed path).
 #pragma once
@@ -53,17 +53,6 @@ struct Request {
   std::int64_t fanout = 1;
   double submit_sec = 0.0;  // arrival stamp (open-loop: intended arrival)
   SloClass slo = SloClass::kInteractive;
-};
-
-/// Anything that accepts requests (InferenceEngine, ShardedInferenceEngine);
-/// lets the load generator drive either engine through one interface.
-class RequestSink {
- public:
-  virtual ~RequestSink() = default;
-  /// Blocking enqueue; false once closed (or when admission sheds it).
-  virtual bool submit(Request r) = 0;
-  /// Non-blocking enqueue; false when full, shed, or closed.
-  virtual bool try_submit(Request r) = 0;
 };
 
 struct AdmissionOptions {
@@ -193,12 +182,12 @@ class RequestQueue {
   bool closed_ = true;
 };
 
-struct BatchPolicy;  // engine.hpp
+struct BatchPolicy;  // sharded.hpp
 
 /// Shared batcher core: blocking-pops the first request, then lingers up to
 /// policy.max_wait_us packing whole eligible requests until the sample
 /// budget is hit. Returns false once the queue is closed and drained.
-/// Both engines' batcher loops and nothing else call this.
+/// The engine's batcher (rank 0) and nothing else calls this.
 bool collect_batch(RequestQueue& queue, const BatchPolicy& policy,
                    std::vector<Request>& out);
 

@@ -7,6 +7,7 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "serve/sharded.hpp"
 
 namespace dlrm::serve {
 
@@ -38,8 +39,9 @@ void check(const LoadGenOptions& o) {
 
 }  // namespace
 
-PoissonLoadGen::PoissonLoadGen(RequestSink& sink, LoadGenOptions options)
-    : sink_(sink), options_(options) {
+PoissonLoadGen::PoissonLoadGen(ShardedInferenceEngine& engine,
+                               LoadGenOptions options)
+    : engine_(engine), options_(options) {
   check(options_);
 }
 
@@ -60,13 +62,13 @@ void PoissonLoadGen::run() {
     r.submit_sec = next;  // intended arrival: open-loop latency accounting
     r.slo = draw_class(rng, options_.interactive_frac);
     if (options_.drop_when_full) {
-      if (sink_.try_submit(r)) {
+      if (engine_.try_submit(r)) {
         ++sent_;
       } else {
         ++dropped_;
       }
     } else {
-      if (sink_.submit(r)) {
+      if (engine_.submit(r)) {
         ++sent_;
       } else {
         ++dropped_;  // closed queue or admission shed

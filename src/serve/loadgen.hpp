@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "serve/engine.hpp"
+#include "serve/admission.hpp"
 
 namespace dlrm::serve {
+
+class ShardedInferenceEngine;  // sharded.hpp
 
 struct LoadGenOptions {
   double qps = 1000.0;
@@ -34,8 +36,8 @@ struct LoadGenOptions {
 
 class PoissonLoadGen {
  public:
-  /// Drives any sink (single-process or sharded engine).
-  PoissonLoadGen(RequestSink& sink, LoadGenOptions options);
+  /// `engine` must outlive the generator.
+  PoissonLoadGen(ShardedInferenceEngine& engine, LoadGenOptions options);
 
   /// Generates and submits options.requests requests on the caller thread,
   /// pacing to the Poisson schedule. Returns when the last request was
@@ -46,7 +48,7 @@ class PoissonLoadGen {
   std::int64_t dropped() const { return dropped_; }
 
  private:
-  RequestSink& sink_;
+  ShardedInferenceEngine& engine_;
   LoadGenOptions options_;
   std::int64_t sent_ = 0;
   std::int64_t dropped_ = 0;
@@ -54,7 +56,7 @@ class PoissonLoadGen {
 
 /// Deterministic request trace with the same key/fanout distribution the
 /// live generator produces (submit stamps at the nominal schedule). Feed to
-/// InferenceEngine::run_trace for reproducible offline replay.
+/// ShardedInferenceEngine::run_trace for reproducible offline replay.
 std::vector<Request> make_trace(const LoadGenOptions& options);
 
 }  // namespace dlrm::serve

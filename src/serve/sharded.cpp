@@ -1,13 +1,14 @@
 #include "serve/sharded.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "ckpt/checkpoint.hpp"
 #include "common/log.hpp"
+#include "common/threadpool.hpp"
 #include "common/timer.hpp"
 #include "data/loader.hpp"
-#include "serve/snapshot.hpp"
 
 namespace dlrm::serve {
 
@@ -16,6 +17,29 @@ namespace {
 bool is_full_shard(const Shard& sh, const DlrmConfig& config) {
   return sh.row_begin == 0 &&
          sh.row_end == config.table_rows[static_cast<std::size_t>(sh.table)];
+}
+
+/// Copies one MLP through the canonical flat-fp32 encoding (the form the
+/// checkpoint manifest stores) — a bit-exact publication. `flat` is staging,
+/// grown on demand. pack_from refreshes nothing else: the bf16 VNNI mirrors
+/// are rebuilt from these canonical weights on every forward.
+void copy_mlp_canonical(Mlp& src, Mlp& dst, std::vector<float>& flat) {
+  DLRM_CHECK(src.layer_count() == dst.layer_count(),
+             "snapshot MLP topology mismatch");
+  for (std::size_t l = 0; l < src.layer_count(); ++l) {
+    FullyConnected& s = src.layer(l);
+    FullyConnected& d = dst.layer(l);
+    DLRM_CHECK(s.in_features() == d.in_features() &&
+                   s.out_features() == d.out_features(),
+               "snapshot MLP layer shape mismatch");
+    const std::size_t n =
+        static_cast<std::size_t>(s.out_features() * s.in_features());
+    if (flat.size() < n) flat.resize(n);
+    s.weights().unpack_to(flat.data());
+    d.weights().pack_from(flat.data());
+    std::copy(s.bias().data(), s.bias().data() + s.bias().size(),
+              d.bias().data());
+  }
 }
 
 }  // namespace
@@ -81,8 +105,8 @@ void ShardedSnapshot::publish_from(DlrmModel& src, std::int64_t version) {
 
 void ShardedSnapshot::publish_from_checkpoint(const std::string& dir) {
   ckpt::CheckpointReader reader(dir);
-  // Borrow the saved global batch so check_model validates only the model
-  // identity (same convention as ModelSnapshot).
+  // Serving doesn't care which global batch trained the snapshot; borrow
+  // the saved one so check_model validates only the model identity.
   reader.check_model(ckpt::ModelConfigKey::from(
       config_, tables_.empty() ? EmbedPrecision::kFp32 : tables_[0]->precision(),
       reader.saved_key().global_batch));
@@ -128,6 +152,7 @@ ShardedInferenceEngine::ShardedInferenceEngine(ShardedSnapshot& snapshot,
       options_(options),
       prof_(prof),
       ranks_(snapshot.plan().ranks()),
+      rank_threads_(std::max(1, default_pool_threads() / ranks_)),
       queue_(options.queue_capacity, options.admission),
       scratch_(static_cast<std::size_t>(snapshot.plan().ranks())),
       errors_(static_cast<std::size_t>(snapshot.plan().ranks())) {
@@ -154,6 +179,8 @@ void ShardedInferenceEngine::start() {
     threads_.emplace_back([this, r] {
       try {
         ThreadComm comm(world_, r);
+        ThreadPool pool(rank_threads_);
+        PoolScope scope(pool);
         if (r == 0) {
           batcher_body(comm);
         } else {
@@ -385,13 +412,13 @@ void ShardedInferenceEngine::process_batch(ThreadComm& comm,
     rs.payload[static_cast<std::size_t>(2 * i)] = r.key;
     rs.payload[static_cast<std::size_t>(2 * i + 1)] = r.fanout;
   }
-  // pow2 bucketing (same rule as InferenceEngine::execute_batch): pad the
-  // batch to the next power-of-two sample count with synthetic
-  // single-sample requests replicating sample 0, appended BEFORE the
-  // broadcast so every rank materializes identically padded bags without
-  // any protocol change. Pad rows ride the whole lookup/gather/merge/dense
-  // pipeline and are discarded: the response loop below only reads the
-  // real rows, which sit at unchanged offsets ahead of the pads.
+  // pow2 bucketing: pad the batch to the next power-of-two sample count
+  // with synthetic single-sample requests replicating sample 0, appended
+  // BEFORE the broadcast so every rank materializes identically padded
+  // bags without any protocol change. Pad rows ride the whole
+  // lookup/gather/merge/dense pipeline and are discarded: the response loop
+  // below only reads the real rows, which sit at unchanged offsets ahead of
+  // the pads.
   std::int64_t exec = total;
   if (options_.bucket_batches) {
     exec = 1;
@@ -545,12 +572,13 @@ std::vector<Response> ShardedInferenceEngine::run_trace(
     wall_end_ = 0.0;
     first_resp = responses_.size();
   }
-  run_ranks(ranks_, 0, [&](ThreadComm& comm) {
+  run_ranks(ranks_, rank_threads_, [&](ThreadComm& comm) {
     if (comm.rank() != 0) {
       follower_body(comm);
       return;
     }
-    // Same greedy max_batch packing as InferenceEngine::run_trace.
+    // Greedy max_batch packing: what the live batcher does when the queue
+    // is saturated.
     std::vector<Request> batch;
     std::int64_t samples = 0;
     for (const Request& r : trace) {

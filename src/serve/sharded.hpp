@@ -1,12 +1,16 @@
-// Model-parallel sharded serving tier (the inference-side counterpart of
-// the training-time hybrid parallelism).
+// Online serving: batched, model-parallel inference over published model
+// snapshots (the inference-side counterpart of the training-time hybrid
+// parallelism). One engine serves every rank count, R=1 included.
 //
-// A model whose embedding tables needed a ShardingPlan to *train* could not
-// be served by the single-process InferenceEngine at all — every serving
-// rank would have to hold every table. This tier runs R serving ranks over
-// a ThreadComm, each holding only the embedding shards its rank owns under
-// any ShardingPlan geometry (row-split included), published bit-exactly
-// through the same checkpoint codecs ModelSnapshot uses.
+// ShardedInferenceEngine runs R serving ranks over a ThreadComm, each
+// holding only the embedding shards its rank owns under any ShardingPlan
+// geometry (row-split included). Weights are published into a
+// ShardedSnapshot through the checkpoint subsystem's bit-exact codecs.
+// Requests carry a fan-out (candidate items scored per request); rank 0
+// packs whole requests into dynamic micro-batches under a (max_batch,
+// max_wait_us) policy. Per-request latencies feed p50/p95/p99 and SLO
+// accounting; the same counters also land in the shared Profiler
+// ("serve_*" scopes) next to the training breakdown.
 //
 // Request flow (one SPMD "op" per micro-batch):
 //   rank 0  — owns the RequestQueue and the batcher (admission control,
@@ -23,13 +27,22 @@
 //             interaction + top MLP) on the assembled batch, and records
 //             responses/latencies.
 //
-// Determinism contract: ShardedInferenceEngine::run_trace is bit-exact
-// against InferenceEngine::run_trace on the same trace for every plan
+// Every rank thread owns its compute pool of max(1, default_pool_threads()
+// / R) threads, in start() and in run_trace alike, so serving never shares
+// a pool with a concurrent trainer or with its peer ranks.
+//
+// Snapshot handover is double-buffered: a trainer publishes into an idle
+// ShardedSnapshot and calls set_snapshot; rank 0 swaps it in at the next
+// micro-batch boundary, so serve-while-training never reads weights
+// mid-mutation.
+//
+// Determinism contract: every served score is bit-identical to an offline
+// per-request DlrmModel::forward on the source weights, for every plan
 // geometry and embedding precision (tests/test_sharded_serving.cpp holds
 // the R∈{1,2,4} × {round_robin,row_split} × {fp32,bf16} matrix).
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -42,15 +55,71 @@
 #include "comm/thread_comm.hpp"
 #include "core/model.hpp"
 #include "core/sharding.hpp"
-#include "serve/engine.hpp"
+#include "data/dataset.hpp"
+#include "serve/admission.hpp"
+#include "stats/profiler.hpp"
 
 namespace dlrm::serve {
 
-/// Sharded counterpart of ModelSnapshot: one EmbeddingTable per plan shard
+// Request and the SLO-class machinery live in serve/admission.hpp.
+
+struct Response {
+  std::int64_t id = 0;
+  double latency_ms = 0.0;
+  std::int64_t batch = 0;        // samples in the micro-batch that served it
+  std::int64_t version = -1;     // snapshot version that scored it
+  float score0 = 0.0f;           // logit of the request's first candidate
+  SloClass slo = SloClass::kInteractive;
+};
+
+struct BatchPolicy {
+  /// Sample budget per micro-batch; 1 disables batching. A single request
+  /// whose fanout exceeds the budget still runs (alone).
+  std::int64_t max_batch = 32;
+  /// Linger time: how long the batcher waits for more requests before
+  /// executing a partial batch.
+  std::int64_t max_wait_us = 1000;
+};
+
+/// Aggregate serving statistics; percentiles by nearest rank. The global
+/// percentiles cover every request with a timing record — served ones AND
+/// shed/rejected ones (scored against their intended-arrival stamp), so
+/// overload tails are not hidden by coordinated omission. Per-class
+/// percentiles cover served requests of that class only.
+struct ServeStats {
+  struct ClassStats {
+    std::int64_t admitted = 0;  // accepted into the queue
+    std::int64_t served = 0;    // scored (responses)
+    std::int64_t shed = 0;      // refused by the admission controller
+    std::int64_t deferred = 0;  // held in queue while the controller deferred
+    double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0, max_ms = 0.0;
+  };
+
+  std::int64_t requests = 0;  // served requests (== responses)
+  std::int64_t batches = 0;
+  std::int64_t samples = 0;
+  std::int64_t slo_violations = 0;
+  std::int64_t rejected = 0;  // try_submit refusals (queue full)
+  std::int64_t shed = 0;      // admission-controller refusals (all classes)
+  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0, max_ms = 0.0;
+  double mean_batch = 0.0;
+  double throughput_rps = 0.0;  // requests / wall between start() and stop()
+  double wall_sec = 0.0;
+  AdmissionState admission_state = AdmissionState::kOpen;
+  double admission_p99_ms = 0.0;  // controller's rolling interactive p99
+  std::array<ClassStats, kNumSloClasses> by_class{};
+};
+
+/// Published, forward-only model replica: one EmbeddingTable per plan shard
 /// (canonical order) plus one dense stack (bottom/top MLP + interaction)
 /// that rank 0 runs on the assembled batch. Weights are published through
-/// the bit-exact checkpoint codecs, so serving results equal an offline
-/// forward on the source weights at publication time.
+/// the checkpoint subsystem's canonical encodings — embedding rows via the
+/// per-precision row codec (export_rows/import_rows), MLP layers via the
+/// canonical flat-fp32 dense form — both bit-exact round trips, so serving
+/// results equal an offline forward on the source weights at publication
+/// time. The bf16 VNNI mirrors inside FullyConnected are repacked from the
+/// canonical fp32 weights on every forward, so publication never leaves a
+/// stale mirror behind.
 class ShardedSnapshot {
  public:
   /// Builds the shard replicas; weights are meaningless until the first
@@ -59,15 +128,19 @@ class ShardedSnapshot {
   ShardedSnapshot(const DlrmConfig& config, ModelOptions options,
                   const ShardingPlan& plan, std::uint64_t seed = 1);
 
-  /// Copies `src`'s weights (bit-exact): every shard imports its row range
-  /// through export_rows/import_rows, the dense stack through the canonical
-  /// flat-fp32 form. Same quiescence contract as ModelSnapshot::publish_from.
+  /// Copies `src`'s weights (bit-exact) and stamps `version` (typically the
+  /// trainer's step): every shard imports its row range through
+  /// export_rows/import_rows, the dense stack through the canonical
+  /// flat-fp32 form. The caller must quiesce training for the duration, and
+  /// never publish into a snapshot an engine is forwarding on: publish into
+  /// an idle one and hand it over with set_snapshot.
   void publish_from(DlrmModel& src, std::int64_t version);
 
   /// Loads from a checkpoint of any training geometry (cross-geometry
   /// resharding via load_shard_rows). Version becomes the saved step.
   void publish_from_checkpoint(const std::string& dir);
 
+  /// Monotone publication stamp; -1 until the first publish.
   std::int64_t version() const { return version_; }
   const DlrmConfig& config() const { return config_; }
   const ShardingPlan& plan() const { return plan_; }
@@ -110,23 +183,23 @@ struct ShardedEngineOptions {
   /// synthetic single-sample requests replicating sample 0, appended on
   /// rank 0 BEFORE the payload broadcast — so every rank builds identically
   /// padded bags and the gather/merge/dense pipeline runs at pow2 shapes
-  /// (cache-friendly GEMM tiles, same rule as EngineOptions.bucket_batches).
+  /// (cache-friendly GEMM tiles; the dense stack's workspaces only ever see
+  /// ~log2(max_batch) shapes, so steady-state serving stops reallocating).
   /// Pad rows are scored and discarded; real scores are bitwise identical
-  /// to the single-process pow2 engine. Counted via "serve_padded".
+  /// to unpadded serving. Counted via "serve_padded".
   bool bucket_batches = false;
 };
 
-/// R-rank model-parallel inference engine. The public surface mirrors
-/// InferenceEngine (RequestSink, set_snapshot handover, run_trace,
-/// ServeStats) so callers and the load generator treat both uniformly.
-class ShardedInferenceEngine : public RequestSink {
+/// R-rank model-parallel inference engine (R = the snapshot plan's rank
+/// count, 1 included).
+class ShardedInferenceEngine {
  public:
   /// `snapshot` (and any snapshot later handed over) must outlive the
   /// engine; its plan fixes the rank count.
   ShardedInferenceEngine(ShardedSnapshot& snapshot, const Dataset& data,
                          ShardedEngineOptions options,
                          Profiler* prof = nullptr);
-  ~ShardedInferenceEngine() override;
+  ~ShardedInferenceEngine();
 
   ShardedInferenceEngine(const ShardedInferenceEngine&) = delete;
   ShardedInferenceEngine& operator=(const ShardedInferenceEngine&) = delete;
@@ -141,21 +214,33 @@ class ShardedInferenceEngine : public RequestSink {
   void stop();
   bool running() const { return running_; }
 
-  /// Same submit semantics as InferenceEngine (admission shedding keeps a
-  /// timing record against the intended-arrival stamp).
-  bool submit(Request r) override;
-  bool try_submit(Request r) override;
+  /// Blocking enqueue (waits while the class queue is full). Returns false
+  /// once the queue is closed, or when the admission controller sheds the
+  /// request (shed requests keep a timing record against their
+  /// intended-arrival stamp).
+  bool submit(Request r);
+  /// Non-blocking enqueue; false (and `rejected`/`shed` accounting plus a
+  /// timing record) when full or shed; false without accounting when
+  /// closed.
+  bool try_submit(Request r);
 
   /// Double-buffered snapshot handover; adopted by rank 0 at the next
   /// micro-batch boundary. The new snapshot's plan must have the same rank
   /// count.
   void set_snapshot(ShardedSnapshot* snap);
+  /// Blocks until the last set_snapshot handover has been adopted (at a
+  /// micro-batch boundary, or at stop()); returns whether it was. Only then
+  /// is the replaced snapshot guaranteed unreferenced — a double-buffering
+  /// publisher MUST observe true here before republishing into the retired
+  /// buffer. A non-negative `timeout_sec` bounds the wait (adoption needs
+  /// traffic: an idle engine only adopts at stop()).
   bool wait_snapshot_swapped(double timeout_sec = -1.0);
 
   /// Offline replay (engine must not be running): spins up R transient
-  /// ranks, packs `trace` under the same greedy max_batch rule the
-  /// single-process engine uses, and returns responses in request order.
-  /// Deterministic and bit-exact vs InferenceEngine::run_trace.
+  /// ranks, packs `trace` in order under the greedy max_batch rule the live
+  /// batcher follows with a saturated queue, and returns responses in
+  /// request order. Deterministic: the same trace and snapshot always
+  /// produce identical batching and scores.
   std::vector<Response> run_trace(const std::vector<Request>& trace);
 
   ServeStats stats() const;
@@ -205,10 +290,12 @@ class ShardedInferenceEngine : public RequestSink {
   ShardedEngineOptions options_;
   Profiler* prof_;
   const int ranks_;
+  const int rank_threads_;  // compute-pool size each rank thread owns
 
   RequestQueue queue_;
 
-  // Pending snapshot handover (see InferenceEngine).
+  // Pending snapshot handover (swapped at batch boundaries; snap_cv_
+  // signals adoption so publishers can reclaim the retired buffer).
   std::mutex snap_mu_;
   std::condition_variable snap_cv_;
   ShardedSnapshot* pending_ = nullptr;

@@ -4,7 +4,7 @@
 # Two legs over a ~2-second Poisson load:
 #   frozen    — one published snapshot; --check-serving additionally
 #               requires every served score to equal a per-request offline
-#               forward on the same snapshot, bit-for-bit;
+#               forward on the source model, bit-for-bit;
 #   republish — serve-while-training: snapshots republished and handed
 #               over at micro-batch boundaries while the load runs.
 # Both legs must answer every request, report nonzero throughput, and emit

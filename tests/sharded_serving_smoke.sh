@@ -4,10 +4,11 @@
 # Three legs over a ~2-second Poisson load:
 #   sharded   — 2 serving ranks, round_robin plan; --check-serving requires
 #               every served score to equal a per-request offline forward on
-#               the single-process snapshot, bit-for-bit (sharded parity);
-#   row_split — 2 ranks with row-range shards (threshold forces splits), the
-#               merge path under the same bit-exact check;
-#   admission — single-process overload with a 60/40 interactive/batch mix
+#               the source model, bit-for-bit (sharded parity);
+#   row_split — 2 ranks with row-range shards (threshold forces splits) and
+#               pow2 batch bucketing (a 24-sample budget, so full batches
+#               always pad), the merge path under the same bit-exact check;
+#   admission — 1-rank overload with a 60/40 interactive/batch mix
 #               and an unreachable p99 target: batch traffic must shed,
 #               interactive traffic must keep being served, and the
 #               accounting must close (served + rejected + shed == offered).
@@ -54,7 +55,11 @@ assert row["shed"] == 0 and row["rejected"] == 0, row
 '
 
 run_leg row_split 1500 --serve-ranks=2 --serve-sharding=row_split \
-    --row-split-threshold=64
+    --row-split-threshold=64 --bucket-batches --max-batch=24 --profile
+grep -q '^serve_padded' "${WORK}/row_split.log" || {
+  echo "FAIL(row_split): --bucket-batches padded no batch" >&2
+  exit 1
+}
 python3 -c '
 import json
 row = json.load(open("'"${WORK}"'/row_split.json"))

@@ -94,6 +94,18 @@ TEST_P(EmbCacheParityTest, ForwardAndStorageBitIdentical) {
                                  UpdateStrategy::kRaceFree);
   }
   EXPECT_EQ(export_all(plain), export_all(cached));
+  // The model-weight view of a cached row (bf16 variants: the masked hi
+  // half of the master) reads back exactly as the uncached row does.
+  std::vector<float> want(static_cast<std::size_t>(dim));
+  std::vector<float> got(static_cast<std::size_t>(dim));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    plain.read_row(row, want.data());
+    cached.read_row(row, got.data());
+    ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                          static_cast<std::size_t>(dim) * sizeof(float)),
+              0)
+        << "read_row diverged at row " << row;
+  }
   if (policy == EmbCachePolicy::kHist) {
     EXPECT_GT(cached.cache_stats().hits, 0);
   } else {

@@ -1,15 +1,13 @@
 // Online serving path: batcher determinism, snapshot-publication parity
-// (served scores bit-identical to offline forwards on the same published
-// weights, fp32 and bf16, in-process and from checkpoint directories),
-// queue backpressure and clean shutdown, serve-while-training snapshot
-// handover, and SLO accounting sanity. Runs under the TSan pass in ci.sh —
-// the batcher, load-generator, and publisher threads all share the engine
-// and the Profiler.
-#include "serve/engine.hpp"
-
+// (served scores bit-identical to offline per-request DlrmModel forwards
+// on the source weights, fp32 and bf16, in-process and from checkpoint
+// directories), queue backpressure and clean shutdown, serve-while-training
+// snapshot handover, and SLO accounting sanity — at one serving rank and,
+// where cheap, at two. Runs under the TSan pass in ci.sh — the serving
+// ranks, load-generator, and publisher threads all share the engine and the
+// Profiler.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -20,22 +18,22 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "core/sharding.hpp"
 #include "core/trainer.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/snapshot.hpp"
+#include "serve/sharded.hpp"
 
 namespace dlrm {
 namespace {
 
 namespace fs = std::filesystem;
-using serve::BatchPolicy;
-using serve::EngineOptions;
-using serve::InferenceEngine;
 using serve::LoadGenOptions;
-using serve::ModelSnapshot;
 using serve::PoissonLoadGen;
 using serve::Request;
 using serve::Response;
+using serve::ShardedEngineOptions;
+using serve::ShardedInferenceEngine;
+using serve::ShardedSnapshot;
 
 DlrmConfig serve_config(Precision mlp = Precision::kFp32) {
   DlrmConfig c;
@@ -57,12 +55,27 @@ RandomDataset serve_data(const DlrmConfig& c) {
   return RandomDataset(c.bottom_mlp.front(), c.table_rows, c.pooling, 11);
 }
 
+/// R=1 holds every table whole; R=2 row-splits three of the four tables, so
+/// the split-table merge path is covered too.
+ShardingPlan serve_plan(const DlrmConfig& c, int ranks) {
+  if (ranks == 1) return ShardingPlan::round_robin(c.table_rows, 1);
+  const std::vector<double> costs(c.table_rows.size(), 1.0);
+  return ShardingPlan::row_split(c.table_rows, ranks, costs,
+                                 /*row_threshold=*/64);
+}
+
+ShardedEngineOptions policy(std::int64_t max_batch,
+                            std::int64_t max_wait_us = 0) {
+  ShardedEngineOptions o;
+  o.policy = {.max_batch = max_batch, .max_wait_us = max_wait_us};
+  return o;
+}
+
 /// A snapshot published from a freshly trained model (few steps so the
 /// weights are non-trivial).
-void train_and_publish(const DlrmConfig& c, const ModelOptions& mopts,
-                       const Dataset& data, ModelSnapshot& snap,
-                       int iters = 4) {
-  DlrmModel model(c, mopts, /*seed=*/21);
+void train_and_publish(const DlrmConfig& c, const Dataset& data,
+                       ShardedSnapshot& snap, int iters = 4) {
+  DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
   trainer.train(iters);
   snap.publish_from(model, trainer.iterations_done());
@@ -85,6 +98,20 @@ std::map<std::int64_t, float> scores_by_id(const std::vector<Response>& rs) {
   return out;
 }
 
+/// Offline reference: each request forwarded alone through `model`.
+std::map<std::int64_t, float> offline_scores(DlrmModel& model,
+                                             const Dataset& data,
+                                             const std::vector<Request>& trace) {
+  std::map<std::int64_t, float> out;
+  MiniBatch mb;
+  for (const Request& r : trace) {
+    data.fill(r.key, r.fanout, mb);
+    if (model.batch() != r.fanout) model.set_batch(r.fanout);
+    out[r.id] = model.forward(mb)[0];
+  }
+  return out;
+}
+
 // Two fresh engines over identically published snapshots must produce the
 // same batching and bit-identical scores for the same trace.
 TEST(Serving, TraceReplayIsDeterministic) {
@@ -92,20 +119,22 @@ TEST(Serving, TraceReplayIsDeterministic) {
   const RandomDataset data = serve_data(c);
   const std::vector<Request> trace = fixed_trace();
 
-  std::vector<std::vector<Response>> runs;
-  for (int run = 0; run < 2; ++run) {
-    ModelSnapshot snap(c, {});
-    train_and_publish(c, {}, data, snap);
-    InferenceEngine engine(snap, data,
-                           {.policy = {.max_batch = 8, .max_wait_us = 0}});
-    runs.push_back(engine.run_trace(trace));
-  }
-  ASSERT_EQ(runs[0].size(), trace.size());
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (std::size_t i = 0; i < runs[0].size(); ++i) {
-    EXPECT_EQ(runs[0][i].id, runs[1][i].id);
-    EXPECT_EQ(runs[0][i].batch, runs[1][i].batch) << "request " << i;
-    EXPECT_EQ(runs[0][i].score0, runs[1][i].score0) << "request " << i;
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("R" + std::to_string(ranks));
+    std::vector<std::vector<Response>> runs;
+    for (int run = 0; run < 2; ++run) {
+      ShardedSnapshot snap(c, {}, serve_plan(c, ranks));
+      train_and_publish(c, data, snap);
+      ShardedInferenceEngine engine(snap, data, policy(8));
+      runs.push_back(engine.run_trace(trace));
+    }
+    ASSERT_EQ(runs[0].size(), trace.size());
+    ASSERT_EQ(runs[0].size(), runs[1].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[0][i].id, runs[1][i].id);
+      EXPECT_EQ(runs[0][i].batch, runs[1][i].batch) << "request " << i;
+      EXPECT_EQ(runs[0][i].score0, runs[1][i].score0) << "request " << i;
+    }
   }
 }
 
@@ -116,31 +145,32 @@ TEST(Serving, DynamicBatchingMatchesBatchOneBitExact) {
   const RandomDataset data = serve_data(c);
   const std::vector<Request> trace = fixed_trace();
 
-  ModelSnapshot snap(c, {});
-  train_and_publish(c, {}, data, snap);
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("R" + std::to_string(ranks));
+    ShardedSnapshot snap(c, {}, serve_plan(c, ranks));
+    train_and_publish(c, data, snap);
 
-  InferenceEngine batched(snap, data,
-                          {.policy = {.max_batch = 16, .max_wait_us = 0}});
-  const auto dyn = scores_by_id(batched.run_trace(trace));
-  InferenceEngine single(snap, data,
-                         {.policy = {.max_batch = 1, .max_wait_us = 0}});
-  const auto one = scores_by_id(single.run_trace(trace));
+    ShardedInferenceEngine batched(snap, data, policy(16));
+    const auto dyn = scores_by_id(batched.run_trace(trace));
+    ShardedInferenceEngine single(snap, data, policy(1));
+    const auto one = scores_by_id(single.run_trace(trace));
 
-  ASSERT_EQ(dyn.size(), one.size());
-  for (const auto& [id, score] : dyn) {
-    ASSERT_TRUE(one.count(id));
-    EXPECT_EQ(score, one.at(id)) << "request id " << id;
+    ASSERT_EQ(dyn.size(), one.size());
+    for (const auto& [id, score] : dyn) {
+      ASSERT_TRUE(one.count(id));
+      EXPECT_EQ(score, one.at(id)) << "request id " << id;
+    }
+    // Batching actually happened.
+    EXPECT_GT(batched.stats().mean_batch, 1.0);
   }
-  // Batching actually happened.
-  const auto s = batched.stats();
-  EXPECT_GT(s.mean_batch, 1.0);
 }
 
 // Publication parity: scores served from a snapshot restored out of a
-// checkpoint directory must be bit-identical to (a) offline per-request
-// forwards on that snapshot and (b) a snapshot published in-process from
-// the live model that wrote the checkpoint. Covers the fp32 and bf16
-// embedding/MLP codecs.
+// checkpoint directory, and from one published in-process from the live
+// model that wrote the checkpoint, must both be bit-identical to offline
+// per-request forwards on that model (a different batch geometry AND a
+// different code path). Covers the fp32 and bf16 embedding/MLP codecs at
+// one and two serving ranks.
 class ServingCkptParityTest : public ::testing::TestWithParam<Precision> {};
 
 TEST_P(ServingCkptParityTest, CheckpointAndInProcessPublishServeIdentically) {
@@ -161,30 +191,25 @@ TEST_P(ServingCkptParityTest, CheckpointAndInProcessPublishServeIdentically) {
   trainer.train(4);
   trainer.save_checkpoint(dir.string());
 
-  ModelSnapshot live(c, mopts);
-  live.publish_from(model, trainer.iterations_done());
-  ModelSnapshot restored(c, mopts);
-  restored.publish_from_checkpoint(dir.string());
-  EXPECT_EQ(restored.version(), trainer.iterations_done());
-
   const std::vector<Request> trace = fixed_trace();
-  InferenceEngine engine(restored, data,
-                         {.policy = {.max_batch = 8, .max_wait_us = 0}});
-  const std::vector<Response> served = engine.run_trace(trace);
-  ASSERT_EQ(served.size(), trace.size());
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("R" + std::to_string(ranks));
+    ShardedSnapshot live(c, mopts, serve_plan(c, ranks));
+    live.publish_from(model, trainer.iterations_done());
+    ShardedSnapshot restored(c, mopts, serve_plan(c, ranks));
+    restored.publish_from_checkpoint(dir.string());
+    EXPECT_EQ(restored.version(), trainer.iterations_done());
 
-  // Offline reference: each request forwarded alone on the in-process
-  // snapshot (exercises a different batch geometry AND the other
-  // publication path at once).
-  std::map<std::int64_t, float> offline;
-  MiniBatch mb;
-  for (const Request& r : trace) {
-    data.fill(r.key, r.fanout, mb);
-    offline[r.id] = live.forward(mb)[0];
-  }
-  for (const Response& r : served) {
-    ASSERT_TRUE(offline.count(r.id));
-    EXPECT_EQ(r.score0, offline.at(r.id)) << "request id " << r.id;
+    for (ShardedSnapshot* snap : {&restored, &live}) {
+      ShardedInferenceEngine engine(*snap, data, policy(8));
+      const std::vector<Response> served = engine.run_trace(trace);
+      ASSERT_EQ(served.size(), trace.size());
+      const auto offline = offline_scores(model, data, trace);
+      for (const Response& r : served) {
+        ASSERT_TRUE(offline.count(r.id));
+        EXPECT_EQ(r.score0, offline.at(r.id)) << "request id " << r.id;
+      }
+    }
   }
   fs::remove_all(dir);
 }
@@ -201,50 +226,52 @@ INSTANTIATE_TEST_SUITE_P(Precisions, ServingCkptParityTest,
 TEST(Serving, BackpressureRejectionAndCleanShutdown) {
   const DlrmConfig c = serve_config();
   const RandomDataset data = serve_data(c);
-  ModelSnapshot snap(c, {});
-  train_and_publish(c, {}, data, snap);
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("R" + std::to_string(ranks));
+    ShardedSnapshot snap(c, {}, serve_plan(c, ranks));
+    train_and_publish(c, data, snap);
 
-  EngineOptions opts;
-  opts.policy = {.max_batch = 4, .max_wait_us = 100};
-  opts.queue_capacity = 4;
-  InferenceEngine engine(snap, data, opts);
+    ShardedEngineOptions opts = policy(4, 100);
+    opts.queue_capacity = 4;
+    ShardedInferenceEngine engine(snap, data, opts);
 
-  // Closed queue (not started): both submit flavours refuse.
-  EXPECT_FALSE(engine.try_submit({.id = 0, .key = 0, .fanout = 1}));
-  EXPECT_FALSE(engine.submit({.id = 0, .key = 0, .fanout = 1}));
+    // Closed queue (not started): both submit flavours refuse.
+    EXPECT_FALSE(engine.try_submit({.id = 0, .key = 0, .fanout = 1}));
+    EXPECT_FALSE(engine.submit({.id = 0, .key = 0, .fanout = 1}));
 
-  engine.start();
-  std::int64_t accepted = 0, rejected = 0;
-  for (std::int64_t i = 0; i < 64; ++i) {
-    Request r;
-    r.id = i;
-    r.key = i;
-    r.fanout = 2;
-    r.submit_sec = now_sec();
-    if (engine.try_submit(r)) {
-      ++accepted;
-    } else {
-      ++rejected;
+    engine.start();
+    std::int64_t accepted = 0, rejected = 0;
+    for (std::int64_t i = 0; i < 64; ++i) {
+      Request r;
+      r.id = i;
+      r.key = i;
+      r.fanout = 2;
+      r.submit_sec = now_sec();
+      if (engine.try_submit(r)) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
     }
-  }
-  // Blocking submits always land (backpressure, not shedding).
-  for (std::int64_t i = 64; i < 96; ++i) {
-    Request r;
-    r.id = i;
-    r.key = i;
-    r.fanout = 2;
-    r.submit_sec = now_sec();
-    EXPECT_TRUE(engine.submit(r));
-    ++accepted;
-  }
-  engine.stop();
+    // Blocking submits always land (backpressure, not shedding).
+    for (std::int64_t i = 64; i < 96; ++i) {
+      Request r;
+      r.id = i;
+      r.key = i;
+      r.fanout = 2;
+      r.submit_sec = now_sec();
+      EXPECT_TRUE(engine.submit(r));
+      ++accepted;
+    }
+    engine.stop();
 
-  const auto s = engine.stats();
-  EXPECT_EQ(static_cast<std::int64_t>(engine.responses().size()), accepted);
-  EXPECT_EQ(s.requests, accepted);
-  EXPECT_EQ(s.rejected, rejected);
-  EXPECT_FALSE(engine.submit({.id = 999, .key = 0, .fanout = 1}));
-  EXPECT_FALSE(engine.try_submit({.id = 999, .key = 0, .fanout = 1}));
+    const auto s = engine.stats();
+    EXPECT_EQ(static_cast<std::int64_t>(engine.responses().size()), accepted);
+    EXPECT_EQ(s.requests, accepted);
+    EXPECT_EQ(s.rejected, rejected);
+    EXPECT_FALSE(engine.submit({.id = 999, .key = 0, .fanout = 1}));
+    EXPECT_FALSE(engine.try_submit({.id = 999, .key = 0, .fanout = 1}));
+  }
 }
 
 // Serve-while-training: a publisher thread repeatedly publishes fresh
@@ -255,19 +282,19 @@ TEST(Serving, BackpressureRejectionAndCleanShutdown) {
 TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
   const DlrmConfig c = serve_config();
   const RandomDataset data = serve_data(c);
+  const ShardingPlan plan = serve_plan(c, 1);
 
   DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
   trainer.train(1);
 
-  ModelSnapshot snapA(c, {}), snapB(c, {});
+  ShardedSnapshot snapA(c, {}, plan), snapB(c, {}, plan);
   snapA.publish_from(model, trainer.iterations_done());
 
   Profiler prof;
-  EngineOptions opts;
-  opts.policy = {.max_batch = 16, .max_wait_us = 200};
+  ShardedEngineOptions opts = policy(16, 200);
   opts.queue_capacity = 256;
-  InferenceEngine engine(snapA, data, opts, &prof);
+  ShardedInferenceEngine engine(snapA, data, opts, &prof);
   engine.start();
 
   LoadGenOptions lopts;
@@ -282,15 +309,19 @@ TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
   // Alternate publishing into whichever snapshot the engine is NOT using;
   // wait for each handover to be adopted before reclaiming the retired
   // buffer (the republish-while-forwarding race TSan would catch).
-  ModelSnapshot* snaps[2] = {&snapA, &snapB};
+  // A handover is adopted by the micro-batch that then runs on it, so the
+  // newest served version is the newest adopted one.
+  ShardedSnapshot* snaps[2] = {&snapA, &snapB};
+  std::int64_t adopted = snapA.version();
   for (int pub = 0; pub < 4; ++pub) {
     trainer.train(1);
-    ModelSnapshot* idle = snaps[(pub + 1) % 2];
+    ShardedSnapshot* idle = snaps[(pub + 1) % 2];
     idle->publish_from(model, trainer.iterations_done());
     engine.set_snapshot(idle);
     // Traffic drained already? Then no more adoptions happen: stop
     // publishing rather than touch a possibly-still-referenced buffer.
     if (!engine.wait_snapshot_swapped(0.5)) break;
+    adopted = idle->version();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
@@ -303,7 +334,7 @@ TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
   std::set<std::int64_t> versions;
   for (const Response& r : rs) versions.insert(r.version);
   EXPECT_GE(versions.size(), 2u) << "no snapshot handover was observed";
-  EXPECT_EQ(*versions.rbegin(), trainer.iterations_done());
+  EXPECT_EQ(*versions.rbegin(), adopted);
   // The serving scopes landed in the shared profiler.
   EXPECT_EQ(prof.count("serve_latency"), lopts.requests);
   EXPECT_GT(prof.count("serve_forward"), 0);
@@ -314,13 +345,12 @@ TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
 TEST(Serving, SloAccountingIsSane) {
   const DlrmConfig c = serve_config();
   const RandomDataset data = serve_data(c);
-  ModelSnapshot snap(c, {});
-  train_and_publish(c, {}, data, snap);
+  ShardedSnapshot snap(c, {}, serve_plan(c, 1));
+  train_and_publish(c, data, snap);
 
-  EngineOptions opts;
-  opts.policy = {.max_batch = 8, .max_wait_us = 100};
+  ShardedEngineOptions opts = policy(8, 100);
   opts.slo_ms = 2.0;
-  InferenceEngine engine(snap, data, opts);
+  ShardedInferenceEngine engine(snap, data, opts);
   engine.start();
   LoadGenOptions lopts;
   lopts.qps = 3000;

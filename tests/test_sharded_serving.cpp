@@ -1,9 +1,9 @@
 // Sharded serving tier + admission control.
 //
-//   * Bit-exact parity: ShardedInferenceEngine::run_trace vs the
-//     single-process InferenceEngine over the full R∈{1,2,4} ×
-//     {round_robin, row_split} × {fp32, bf16} matrix, plus the
-//     checkpoint-publication path.
+//   * Bit-exact parity: ShardedInferenceEngine::run_trace vs offline
+//     per-request DlrmModel forwards on the source model over the full
+//     R∈{1,2,4} × {round_robin, row_split} × {fp32, bf16} matrix, plus the
+//     pow2-bucketed and checkpoint-publication paths.
 //   * AdmissionController unit behaviour: hysteresis state walk under
 //     synthetic p99 pressure, batch-class records never move the window.
 //   * RequestQueue: strict-priority draining, shed/defer counters, batch
@@ -12,11 +12,16 @@
 //     sheds batch traffic while interactive requests keep being served,
 //     with closed accounting.
 //   * Live sharded serving under load + snapshot handover (the TSan leg).
+//   * Rank-owned compute pools: live R=1 serving next to a concurrent
+//     Trainer::train, and R∈{2,4} start/submit/stop plus R=2 run_trace
+//     loops, with a host pool larger than the rank count.
 #include "serve/sharded.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -26,23 +31,25 @@
 #include <tuple>
 #include <vector>
 
+#include "common/threadpool.hpp"
 #include "common/timer.hpp"
 #include "core/trainer.hpp"
 #include "counting_dataset.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/snapshot.hpp"
 
 namespace dlrm {
 namespace {
+
+// Size the host pool to 8 threads before anything creates it, so every
+// serving rank at R <= 4 owns a pool of at least two threads and the pool
+// tests below exercise real worker dispatch on any core count.
+const bool kHostPoolSized = setenv("DLRM_NUM_THREADS", "8", 1) == 0;
 
 namespace fs = std::filesystem;
 using serve::AdmissionController;
 using serve::AdmissionOptions;
 using serve::AdmissionState;
-using serve::BatchPolicy;
-using serve::InferenceEngine;
 using serve::LoadGenOptions;
-using serve::ModelSnapshot;
 using serve::PoissonLoadGen;
 using serve::PopStatus;
 using serve::Request;
@@ -100,6 +107,59 @@ std::vector<Request> fixed_trace() {
   return serve::make_trace(lopts);
 }
 
+/// Offline reference, in trace order: each request forwarded alone through
+/// `model` (the oracle serve_cli --check-serving uses).
+std::vector<float> offline_scores(DlrmModel& model, const Dataset& data,
+                                  const std::vector<Request>& trace) {
+  std::vector<float> out;
+  MiniBatch mb;
+  for (const Request& r : trace) {
+    data.fill(r.key, r.fanout, mb);
+    if (model.batch() != r.fanout) model.set_batch(r.fanout);
+    out.push_back(model.forward(mb)[0]);
+  }
+  return out;
+}
+
+/// Per-request micro-batch sample count under run_trace's greedy rule:
+/// whole requests in order until the next would exceed `max_batch`.
+std::vector<std::int64_t> greedy_batches(const std::vector<Request>& trace,
+                                         std::int64_t max_batch) {
+  std::vector<std::int64_t> out(trace.size());
+  std::size_t first = 0;
+  std::int64_t samples = 0;
+  for (std::size_t i = 0; i <= trace.size(); ++i) {
+    if (i == trace.size() ||
+        (i > first && samples + trace[i].fanout > max_batch)) {
+      for (std::size_t j = first; j < i; ++j) out[j] = samples;
+      first = i;
+      samples = 0;
+    }
+    if (i < trace.size()) samples += trace[i].fanout;
+  }
+  return out;
+}
+
+std::int64_t next_pow2(std::int64_t n) {
+  std::int64_t p = 1;
+  while (p < n) p *= 2;
+  return p;
+}
+
+void expect_matches_offline(const std::vector<Response>& got,
+                            const std::vector<Request>& trace,
+                            const std::vector<float>& want,
+                            std::int64_t max_batch) {
+  const std::vector<std::int64_t> batch = greedy_batches(trace, max_batch);
+  ASSERT_EQ(got.size(), trace.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, trace[i].id) << "request " << i;
+    EXPECT_EQ(got[i].batch, batch[i]) << "request " << i;
+    // Bitwise: EXPECT_EQ on float, not NEAR.
+    EXPECT_EQ(got[i].score0, want[i]) << "request " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bit-exact parity matrix
 
@@ -121,29 +181,18 @@ TEST_P(ShardedParityTest, MatchesSingleProcessBitExact) {
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
   trainer.train(4);
 
-  ModelSnapshot ref_snap(c, mopts);
-  ref_snap.publish_from(model, trainer.iterations_done());
   ShardedSnapshot sharded_snap(c, mopts, plan);
   sharded_snap.publish_from(model, trainer.iterations_done());
 
   const std::vector<Request> trace = fixed_trace();
-  InferenceEngine ref(ref_snap, data,
-                      {.policy = {.max_batch = 8, .max_wait_us = 0}});
-  const std::vector<Response> want = ref.run_trace(trace);
-
   ShardedEngineOptions sopts;
   sopts.policy = {.max_batch = 8, .max_wait_us = 0};
   ShardedInferenceEngine engine(sharded_snap, data, sopts);
   ASSERT_EQ(engine.ranks(), ranks);
   const std::vector<Response> got = engine.run_trace(trace);
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "request " << i;
-    EXPECT_EQ(got[i].batch, want[i].batch) << "request " << i;
-    // Bitwise: EXPECT_EQ on float, not NEAR.
-    EXPECT_EQ(got[i].score0, want[i].score0) << "request " << i;
-  }
+  expect_matches_offline(got, trace, offline_scores(model, data, trace),
+                         sopts.policy.max_batch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,16 +236,19 @@ TEST(ShardedServing, OneGeneratorPassPerRequestPerRank) {
   }
 }
 
-// Pow2 bucketing on the sharded path: with bucket_batches set on BOTH
-// engines, the sharded tier pads each micro-batch to the next power-of-two
-// before the broadcast (every rank sees the padded request list), and the
-// real scores stay bitwise identical to the single-process pow2 engine.
-// Regression for the bug where ShardedEngineOptions silently ignored
-// bucketing altogether.
+// Pow2 bucketing: with bucket_batches set, each micro-batch is padded to the
+// next power of two before the broadcast (every rank sees the padded
+// request list), the padding is exactly next_pow2(batch) - batch rows per
+// micro-batch, and the real scores stay bitwise identical to the offline
+// forwards. Regression for the bug where ShardedEngineOptions silently
+// ignored bucketing altogether.
 TEST(ShardedServing, Pow2BucketingMatchesSingleProcessBitExact) {
   for (const Precision mlp : {Precision::kFp32, Precision::kBf16}) {
-    for (const int ranks : {2, 4}) {
+    for (const int ranks : {1, 2, 4}) {
       for (const bool row_split : {false, true}) {
+        SCOPED_TRACE("R" + std::to_string(ranks) +
+                     (row_split ? " row_split " : " round_robin ") +
+                     to_string(mlp));
         const DlrmConfig c = serve_config(mlp);
         const ModelOptions mopts = model_options(mlp);
         const RandomDataset data = serve_data(c);
@@ -206,21 +258,12 @@ TEST(ShardedServing, Pow2BucketingMatchesSingleProcessBitExact) {
         Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
         trainer.train(4);
 
-        ModelSnapshot ref_snap(c, mopts);
-        ref_snap.publish_from(model, trainer.iterations_done());
         ShardedSnapshot sharded_snap(c, mopts, plan);
         sharded_snap.publish_from(model, trainer.iterations_done());
 
         // 60 requests x fanout 3 at max_batch 8: micro-batches of up to 24
         // samples, never a power of two unless padded.
         const std::vector<Request> trace = fixed_trace();
-        Profiler ref_prof;
-        InferenceEngine ref(ref_snap, data,
-                            {.policy = {.max_batch = 8, .max_wait_us = 0},
-                             .bucket_batches = true},
-                            &ref_prof);
-        const std::vector<Response> want = ref.run_trace(trace);
-
         ShardedEngineOptions sopts;
         sopts.policy = {.max_batch = 8, .max_wait_us = 0};
         sopts.bucket_batches = true;
@@ -228,27 +271,29 @@ TEST(ShardedServing, Pow2BucketingMatchesSingleProcessBitExact) {
         ShardedInferenceEngine engine(sharded_snap, data, sopts, &prof);
         const std::vector<Response> got = engine.run_trace(trace);
 
-        // Padding actually happened on both engines — and identically.
-        EXPECT_GT(prof.total_sec("serve_padded"), 0.0);
-        EXPECT_EQ(prof.total_sec("serve_padded"),
-                  ref_prof.total_sec("serve_padded"));
-
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].id, want[i].id) << "request " << i;
-          EXPECT_EQ(got[i].batch, want[i].batch) << "request " << i;
-          EXPECT_EQ(got[i].score0, want[i].score0)
-              << "R" << ranks << (row_split ? " row_split " : " round_robin ")
-              << to_string(mlp) << " request " << i;
+        // Padding, summed once per micro-batch of the greedy packing.
+        const std::vector<std::int64_t> batch =
+            greedy_batches(trace, sopts.policy.max_batch);
+        std::int64_t want_padded = 0;
+        for (std::size_t i = 0; i < trace.size();) {
+          const std::int64_t b = batch[i];
+          want_padded += next_pow2(b) - b;
+          for (std::int64_t seen = 0; seen < b; ++i) seen += trace[i].fanout;
         }
+        EXPECT_GT(want_padded, 0);
+        EXPECT_EQ(prof.total_sec("serve_padded"),
+                  static_cast<double>(want_padded));
+
+        expect_matches_offline(got, trace, offline_scores(model, data, trace),
+                               sopts.policy.max_batch);
       }
     }
   }
 }
 
 // Checkpoint publication: a sharded snapshot restored from a checkpoint
-// directory serves bit-identically to a single-process snapshot restored
-// from the same checkpoint (cross-geometry resharding included).
+// directory (cross-geometry resharding included) serves bit-identically to
+// offline forwards on the model that wrote the checkpoint.
 TEST(ShardedServing, CheckpointPublicationServesIdentically) {
   const DlrmConfig c = serve_config(Precision::kBf16);
   const ModelOptions mopts = model_options(Precision::kBf16);
@@ -261,27 +306,18 @@ TEST(ShardedServing, CheckpointPublicationServesIdentically) {
   trainer.train(4);
   trainer.save_checkpoint(dir.string());
 
-  ModelSnapshot ref_snap(c, mopts);
-  ref_snap.publish_from_checkpoint(dir.string());
   const ShardingPlan plan = make_plan(c, /*ranks=*/2, /*row_split=*/true);
   ShardedSnapshot sharded_snap(c, mopts, plan);
   sharded_snap.publish_from_checkpoint(dir.string());
   EXPECT_EQ(sharded_snap.version(), trainer.iterations_done());
-  EXPECT_EQ(sharded_snap.version(), ref_snap.version());
 
   const std::vector<Request> trace = fixed_trace();
-  InferenceEngine ref(ref_snap, data,
-                      {.policy = {.max_batch = 8, .max_wait_us = 0}});
-  const std::vector<Response> want = ref.run_trace(trace);
   ShardedEngineOptions sopts;
   sopts.policy = {.max_batch = 8, .max_wait_us = 0};
   ShardedInferenceEngine engine(sharded_snap, data, sopts);
-  const std::vector<Response> got = engine.run_trace(trace);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].score0, want[i].score0) << "request " << i;
-  }
+  expect_matches_offline(engine.run_trace(trace), trace,
+                         offline_scores(model, data, trace),
+                         sopts.policy.max_batch);
   fs::remove_all(dir);
 }
 
@@ -452,17 +488,17 @@ TEST(ShardedServing, AdmissionShedsBatchKeepsInteractive) {
   DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
   trainer.train(4);
-  ModelSnapshot snap(c, {});
+  ShardedSnapshot snap(c, {}, make_plan(c, /*ranks=*/1, /*row_split=*/false));
   snap.publish_from(model, trainer.iterations_done());
 
-  serve::EngineOptions opts;
+  ShardedEngineOptions opts;
   opts.policy = {.max_batch = 8, .max_wait_us = 100};
   // Impossible target: the first interactive completions trip the shed
   // state, so batch arrivals after warm-up are refused.
   opts.admission.p99_target_ms = 1e-3;
   opts.admission.window = 32;
   opts.admission.min_samples = 1;
-  InferenceEngine engine(snap, data, opts);
+  ShardedInferenceEngine engine(snap, data, opts);
   engine.start();
 
   LoadGenOptions lopts;
@@ -501,12 +537,12 @@ TEST(ShardedServing, NoControllerNeverSheds) {
   DlrmModel model(c, {}, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
   trainer.train(4);
-  ModelSnapshot snap(c, {});
+  ShardedSnapshot snap(c, {}, make_plan(c, /*ranks=*/1, /*row_split=*/false));
   snap.publish_from(model, trainer.iterations_done());
 
-  serve::EngineOptions opts;
+  ShardedEngineOptions opts;
   opts.policy = {.max_batch = 8, .max_wait_us = 100};
-  InferenceEngine engine(snap, data, opts);
+  ShardedInferenceEngine engine(snap, data, opts);
   engine.start();
   LoadGenOptions lopts;
   lopts.qps = 8000;
@@ -639,6 +675,134 @@ TEST(ShardedServing, LiveServingWithSnapshotHandover) {
   EXPECT_EQ(s.requests, lopts.requests);
   EXPECT_EQ(s.samples, lopts.requests * lopts.fanout);
   EXPECT_LE(s.p50_ms, s.p99_ms);
+}
+
+// ---------------------------------------------------------------------------
+// Rank-owned compute pools. Every serving rank dispatches its kernels to a
+// pool it owns, never to the process-wide default pool that a concurrent
+// trainer or a peer rank is using: ThreadPool::run refuses a second
+// concurrent caller, so a shared pool made these loops terminate or hang.
+
+/// Wider than serve_config, so the serving MLPs and the trainer's kernels
+/// both split into worker tasks.
+DlrmConfig pool_config() {
+  DlrmConfig c = serve_config();
+  c.dim = 32;
+  c.bottom_mlp = {16, 128, 32};
+  c.top_mlp = {128, 64, 1};
+  c.validate();
+  return c;
+}
+
+/// Fanout 8 at max_batch 64: 64-sample micro-batches, large enough that
+/// every rank's whole-table embedding forward dispatches to its pool.
+std::vector<Request> pool_trace() {
+  LoadGenOptions lopts;
+  lopts.qps = 1e6;
+  lopts.requests = 96;
+  lopts.fanout = 8;
+  lopts.key_space = 4096;
+  lopts.seed = 7;
+  return serve::make_trace(lopts);
+}
+
+ShardedEngineOptions pool_engine_options() {
+  ShardedEngineOptions o;
+  o.policy = {.max_batch = 64, .max_wait_us = 1000};
+  return o;
+}
+
+// Serve-while-training in one process: the trainer runs on the default pool
+// for as long as the load lasts while the R=1 serving rank forwards on its
+// own pool.
+TEST(ShardedServing, ConcurrentTrainingAndR1ServingOwnPools) {
+  ASSERT_GT(default_pool_threads(), 1);
+  const DlrmConfig c = pool_config();
+  const RandomDataset data = serve_data(c);
+  DlrmModel model(c, {}, /*seed=*/21);
+  Trainer trainer(model, data, {.lr = 0.05f, .batch = 128});
+  trainer.train(1);
+  ShardedSnapshot snap(c, {}, make_plan(c, /*ranks=*/1, /*row_split=*/false));
+  snap.publish_from(model, trainer.iterations_done());
+
+  ShardedEngineOptions opts = pool_engine_options();
+  opts.policy.max_wait_us = 100;
+  ShardedInferenceEngine engine(snap, data, opts);
+  engine.start();
+  LoadGenOptions lopts;
+  lopts.qps = 4000;
+  lopts.requests = 400;
+  lopts.fanout = 4;
+  lopts.key_space = 4096;
+  PoissonLoadGen gen(engine, lopts);
+  std::atomic<bool> done{false};
+  std::thread load([&] {
+    gen.run();
+    done.store(true);
+  });
+  // The paced load lasts ~0.1 s, so at least the first step overlaps it.
+  do {
+    trainer.train(1);
+  } while (!done.load());
+  load.join();
+  engine.stop();
+
+  EXPECT_EQ(gen.sent(), lopts.requests);
+  EXPECT_EQ(engine.stats().requests, lopts.requests);
+}
+
+// Repeated live start/submit/stop at R=2 and R=4, both plan geometries:
+// every rank forwards on its own pool, every request is answered with the
+// offline score, and every stop() joins cleanly.
+TEST(ShardedServing, StartSubmitStopLoopAtTwoAndFourRanks) {
+  const DlrmConfig c = pool_config();
+  const RandomDataset data = serve_data(c);
+  DlrmModel model(c, {}, /*seed=*/21);
+  const std::vector<Request> trace = pool_trace();
+  const std::vector<float> offline = offline_scores(model, data, trace);
+  std::map<std::int64_t, float> want;
+  for (std::size_t i = 0; i < trace.size(); ++i) want[trace[i].id] = offline[i];
+
+  for (const int ranks : {2, 4}) {
+    ASSERT_GT(default_pool_threads(), ranks);
+    for (const bool row_split : {false, true}) {
+      SCOPED_TRACE("R" + std::to_string(ranks) +
+                   (row_split ? " row_split" : " round_robin"));
+      ShardedSnapshot snap(c, {}, make_plan(c, ranks, row_split));
+      snap.publish_from(model, 0);
+      ShardedInferenceEngine engine(snap, data, pool_engine_options());
+      for (int round = 0; round < 4; ++round) {
+        engine.reset_stats();
+        engine.start();
+        for (const Request& r : trace) EXPECT_TRUE(engine.submit(r));
+        engine.stop();
+        const std::vector<Response> rs = engine.responses();
+        ASSERT_EQ(rs.size(), trace.size()) << "round " << round;
+        for (const Response& r : rs) {
+          EXPECT_EQ(r.score0, want.at(r.id)) << "request id " << r.id;
+        }
+      }
+    }
+  }
+}
+
+// Repeated offline replay at R=2: run_trace's transient ranks own their
+// pools too.
+TEST(ShardedServing, RunTraceLoopAtTwoRanks) {
+  ASSERT_GT(default_pool_threads(), 2);
+  const DlrmConfig c = pool_config();
+  const RandomDataset data = serve_data(c);
+  DlrmModel model(c, {}, /*seed=*/21);
+  const std::vector<Request> trace = pool_trace();
+  const std::vector<float> want = offline_scores(model, data, trace);
+  ShardedSnapshot snap(c, {}, make_plan(c, /*ranks=*/2, /*row_split=*/false));
+  snap.publish_from(model, 0);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ShardedInferenceEngine engine(snap, data, pool_engine_options());
+    expect_matches_offline(engine.run_trace(trace), trace, want,
+                           pool_engine_options().policy.max_batch);
+  }
 }
 
 }  // namespace
