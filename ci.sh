@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify in Release, then an ASan/UBSan Debug pass
-# over the tier1-labelled unit tests (benches off, portable codegen, the
-# "slow" label — smoke runs and long multi-rank convergence suites — is
+# over the tier1-labelled tests — the unit suites plus the checkpoint and
+# serving smokes (benches off, portable codegen; the "slow" label — the
+# train_cli smoke runs and long multi-rank convergence suites — is
 # excluded to keep the sanitizer pass bounded on the 1-CPU container), then
 # a ThreadSanitizer pass over the concurrency-heavy suites (prefetch
 # pipeline, in-process collectives, DDP, embedding exchange, and the

@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,21 +273,25 @@ int check_serving(const Args& args, const serve::ServeStats& s,
   // reference is a single-process DlrmModel, so this doubles as the
   // sharded-parity check for every --serve-ranks.
   if (args.publish_every == 0) {
+    // Only served requests carry a score, so only they are forwarded (an
+    // overloaded run rejects or sheds most of its trace). Request ids are
+    // trace positions.
     const std::vector<serve::Request> trace = serve::make_trace(lopts);
-    std::map<std::int64_t, float> offline;
-    MiniBatch mb;
-    for (const serve::Request& r : trace) {
-      data.fill(r.key, r.fanout, mb);
-      if (reference.batch() != r.fanout) reference.set_batch(r.fanout);
-      offline[r.id] = reference.forward(mb)[0];
-    }
+    std::vector<serve::Request> served;
+    served.reserve(responses.size());
     for (const serve::Response& r : responses) {
-      if (offline.at(r.id) != r.score0) {
+      served.push_back(trace.at(static_cast<std::size_t>(r.id)));
+    }
+    const std::vector<float> want =
+        serve::offline_scores(reference, data, served);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      if (want[i] != responses[i].score0) {
         std::fprintf(
             stderr,
             "CHECK FAILED: request %lld served %.9g != offline %.9g\n",
-            static_cast<long long>(r.id), static_cast<double>(r.score0),
-            static_cast<double>(offline.at(r.id)));
+            static_cast<long long>(responses[i].id),
+            static_cast<double>(responses[i].score0),
+            static_cast<double>(want[i]));
         return 1;
       }
     }

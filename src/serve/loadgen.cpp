@@ -7,6 +7,8 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "core/model.hpp"
+#include "data/dataset.hpp"
 #include "serve/sharded.hpp"
 
 namespace dlrm::serve {
@@ -95,6 +97,19 @@ std::vector<Request> make_trace(const LoadGenOptions& options) {
     trace.push_back(r);
   }
   return trace;
+}
+
+std::vector<float> offline_scores(DlrmModel& model, const Dataset& data,
+                                  const std::vector<Request>& trace) {
+  std::vector<float> out;
+  out.reserve(trace.size());
+  MiniBatch mb;
+  for (const Request& r : trace) {
+    data.fill(r.key, r.fanout, mb);
+    if (model.batch() != r.fanout) model.set_batch(r.fanout);
+    out.push_back(model.forward(mb)[0]);
+  }
+  return out;
 }
 
 }  // namespace dlrm::serve

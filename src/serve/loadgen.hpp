@@ -13,6 +13,11 @@
 
 #include "serve/admission.hpp"
 
+namespace dlrm {
+class Dataset;
+class DlrmModel;
+}  // namespace dlrm
+
 namespace dlrm::serve {
 
 class ShardedInferenceEngine;  // sharded.hpp
@@ -58,5 +63,12 @@ class PoissonLoadGen {
 /// live generator produces (submit stamps at the nominal schedule). Feed to
 /// ShardedInferenceEngine::run_trace for reproducible offline replay.
 std::vector<Request> make_trace(const LoadGenOptions& options);
+
+/// Offline reference scores, in trace order: each request's candidates
+/// forwarded alone through `model` (re-batched to the request's fanout),
+/// keeping the first score. Served scores must equal these bit-for-bit at
+/// every rank count, plan and batch policy.
+std::vector<float> offline_scores(DlrmModel& model, const Dataset& data,
+                                  const std::vector<Request>& trace);
 
 }  // namespace dlrm::serve

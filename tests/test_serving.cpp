@@ -8,6 +8,7 @@
 // Profiler.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -28,6 +29,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using serve::LoadGenOptions;
+using serve::offline_scores;
 using serve::PoissonLoadGen;
 using serve::Request;
 using serve::Response;
@@ -95,20 +97,6 @@ std::vector<Request> fixed_trace() {
 std::map<std::int64_t, float> scores_by_id(const std::vector<Response>& rs) {
   std::map<std::int64_t, float> out;
   for (const Response& r : rs) out[r.id] = r.score0;
-  return out;
-}
-
-/// Offline reference: each request forwarded alone through `model`.
-std::map<std::int64_t, float> offline_scores(DlrmModel& model,
-                                             const Dataset& data,
-                                             const std::vector<Request>& trace) {
-  std::map<std::int64_t, float> out;
-  MiniBatch mb;
-  for (const Request& r : trace) {
-    data.fill(r.key, r.fanout, mb);
-    if (model.batch() != r.fanout) model.set_batch(r.fanout);
-    out[r.id] = model.forward(mb)[0];
-  }
   return out;
 }
 
@@ -204,7 +192,11 @@ TEST_P(ServingCkptParityTest, CheckpointAndInProcessPublishServeIdentically) {
       ShardedInferenceEngine engine(*snap, data, policy(8));
       const std::vector<Response> served = engine.run_trace(trace);
       ASSERT_EQ(served.size(), trace.size());
-      const auto offline = offline_scores(model, data, trace);
+      const std::vector<float> want = offline_scores(model, data, trace);
+      std::map<std::int64_t, float> offline;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        offline[trace[i].id] = want[i];
+      }
       for (const Response& r : served) {
         ASSERT_TRUE(offline.count(r.id));
         EXPECT_EQ(r.score0, offline.at(r.id)) << "request id " << r.id;
@@ -276,9 +268,11 @@ TEST(Serving, BackpressureRejectionAndCleanShutdown) {
 
 // Serve-while-training: a publisher thread repeatedly publishes fresh
 // weights into the idle buffer of a snapshot pair and hands it over while
-// the Poisson load generator drives the engine. Every request must be
-// answered, and the responses must observe a snapshot version advance.
-// (TSan validates the handover and the shared Profiler.)
+// the Poisson load generator drives the engine. The load keeps running
+// until the last handover was adopted, so every handover must be adopted
+// and the newest served version must be the trainer's last step. Every
+// request must be answered. (TSan validates the handover and the shared
+// Profiler.)
 TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
   const DlrmConfig c = serve_config();
   const RandomDataset data = serve_data(c);
@@ -297,46 +291,55 @@ TEST(Serving, ServeWhileTrainingObservesNewSnapshots) {
   ShardedInferenceEngine engine(snapA, data, opts, &prof);
   engine.start();
 
+  // Back-to-back Poisson rounds until the publisher is done: one round is
+  // ~0.1 s of load, which a slow (sanitized) build can finish before the
+  // publisher's rounds are over.
   LoadGenOptions lopts;
   lopts.qps = 4000;
   lopts.requests = 400;
   lopts.fanout = 2;
   lopts.key_space = 4096;
   lopts.zipf_s = 0.9;
-  PoissonLoadGen gen(engine, lopts);
-  std::thread load([&] { gen.run(); });
+  std::atomic<bool> published{false};
+  std::int64_t sent = 0, rounds = 0;
+  std::thread load([&] {
+    do {
+      lopts.seed = 7 + static_cast<std::uint64_t>(rounds++);
+      PoissonLoadGen gen(engine, lopts);
+      gen.run();
+      sent += gen.sent();
+    } while (!published.load());
+  });
 
   // Alternate publishing into whichever snapshot the engine is NOT using;
   // wait for each handover to be adopted before reclaiming the retired
   // buffer (the republish-while-forwarding race TSan would catch).
-  // A handover is adopted by the micro-batch that then runs on it, so the
-  // newest served version is the newest adopted one.
   ShardedSnapshot* snaps[2] = {&snapA, &snapB};
-  std::int64_t adopted = snapA.version();
-  for (int pub = 0; pub < 4; ++pub) {
+  int adopted = 0;
+  for (; adopted < 4; ++adopted) {
     trainer.train(1);
-    ShardedSnapshot* idle = snaps[(pub + 1) % 2];
+    ShardedSnapshot* idle = snaps[(adopted + 1) % 2];
     idle->publish_from(model, trainer.iterations_done());
     engine.set_snapshot(idle);
-    // Traffic drained already? Then no more adoptions happen: stop
-    // publishing rather than touch a possibly-still-referenced buffer.
-    if (!engine.wait_snapshot_swapped(0.5)) break;
-    adopted = idle->version();
+    if (!engine.wait_snapshot_swapped(30.0)) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  published.store(true);
 
   load.join();
   engine.stop();
 
-  EXPECT_EQ(gen.sent(), lopts.requests);
+  ASSERT_EQ(adopted, 4) << "a handover was not adopted under load";
+
+  EXPECT_EQ(sent, rounds * lopts.requests);
   const std::vector<Response> rs = engine.responses();
-  ASSERT_EQ(static_cast<std::int64_t>(rs.size()), lopts.requests);
+  ASSERT_EQ(static_cast<std::int64_t>(rs.size()), sent);
   std::set<std::int64_t> versions;
   for (const Response& r : rs) versions.insert(r.version);
   EXPECT_GE(versions.size(), 2u) << "no snapshot handover was observed";
-  EXPECT_EQ(*versions.rbegin(), adopted);
+  EXPECT_EQ(*versions.rbegin(), trainer.iterations_done());
   // The serving scopes landed in the shared profiler.
-  EXPECT_EQ(prof.count("serve_latency"), lopts.requests);
+  EXPECT_EQ(prof.count("serve_latency"), sent);
   EXPECT_GT(prof.count("serve_forward"), 0);
 }
 

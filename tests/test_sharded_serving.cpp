@@ -50,6 +50,7 @@ using serve::AdmissionController;
 using serve::AdmissionOptions;
 using serve::AdmissionState;
 using serve::LoadGenOptions;
+using serve::offline_scores;
 using serve::PoissonLoadGen;
 using serve::PopStatus;
 using serve::Request;
@@ -107,20 +108,6 @@ std::vector<Request> fixed_trace() {
   return serve::make_trace(lopts);
 }
 
-/// Offline reference, in trace order: each request forwarded alone through
-/// `model` (the oracle serve_cli --check-serving uses).
-std::vector<float> offline_scores(DlrmModel& model, const Dataset& data,
-                                  const std::vector<Request>& trace) {
-  std::vector<float> out;
-  MiniBatch mb;
-  for (const Request& r : trace) {
-    data.fill(r.key, r.fanout, mb);
-    if (model.batch() != r.fanout) model.set_batch(r.fanout);
-    out.push_back(model.forward(mb)[0]);
-  }
-  return out;
-}
-
 /// Per-request micro-batch sample count under run_trace's greedy rule:
 /// whole requests in order until the next would exceed `max_batch`.
 std::vector<std::int64_t> greedy_batches(const std::vector<Request>& trace,
@@ -175,7 +162,9 @@ TEST_P(ShardedParityTest, MatchesSingleProcessBitExact) {
   const ShardingPlan plan = make_plan(c, ranks, row_split);
   // A table splits into at most `ranks` shards, so R=1 degenerates to
   // full-table placement (still a distinct code path worth the cell).
-  if (row_split && ranks > 1) ASSERT_TRUE(plan.has_split_tables());
+  if (row_split && ranks > 1) {
+    ASSERT_TRUE(plan.has_split_tables());
+  }
 
   DlrmModel model(c, mopts, /*seed=*/21);
   Trainer trainer(model, data, {.lr = 0.05f, .batch = 32});
